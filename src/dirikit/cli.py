@@ -123,7 +123,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         result = dirichlet_weighted(
             f, measure, args.n, spec, force_quadrature=args.force_quadrature
         )
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise InputError(str(exc)) from exc
     _write_text(_dump_json(result.to_json()), args.out)
     return 0
@@ -167,23 +167,27 @@ def _cmd_defects(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = _parse_spec(args.quad)
-    orders = [args.n] if args.n is not None else None
-    if args.suite == "all":
-        reports = run_all(
-            seed=args.seed, spec=spec, trials=args.trials, tolerance=args.tol
-        )
-    else:
-        reports = [
-            run_suite(
-                args.suite,
-                trials=args.trials,
-                seed=args.seed,
-                spec=spec,
-                orders=orders,
-                tolerance=args.tol,
+    spec = None if args.quad is None else _parse_spec(args.quad)
+    if args.suite == "all" and args.n is not None:
+        raise InputError("--n applies to a single suite, not 'all'")
+    try:
+        if args.suite == "all":
+            reports = run_all(
+                seed=args.seed, spec=spec, trials=args.trials, tolerance=args.tol
             )
-        ]
+        else:
+            reports = [
+                run_suite(
+                    args.suite,
+                    trials=args.trials,
+                    seed=args.seed,
+                    spec=spec,
+                    orders=None if args.n is None else [args.n],
+                    tolerance=args.tol,
+                )
+            ]
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     for report in reports:
         status = "pass" if report.passed else "FAIL"
         print(
@@ -210,7 +214,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--quad",
             metavar="R,A,CLIP,LEVELS",
-            help="quadrature spec, e.g. 96,256,0.015625,4",
+            help=(
+                "quadrature spec, e.g. 96,256,0.015625,4; CLIP and LEVELS "
+                "are read only by integrate_disc, which no command calls"
+            ),
         )
 
     def add_out(p: argparse.ArgumentParser) -> None:
@@ -266,7 +273,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_ver.add_argument("--trials", type=int, help="trial count override")
     p_ver.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p_ver.add_argument("--n", type=int, help="restrict to one order")
+    p_ver.add_argument(
+        "--n",
+        type=int,
+        help="restrict to one order; suites without orders reject it",
+    )
     p_ver.add_argument("--tol", type=float, help="tolerance override")
     add_quad(p_ver)
     add_out(p_ver)

@@ -30,7 +30,7 @@ from .functions import (
     derivative,
     divide_by_root,
     evaluate,
-    multiply,
+    times_linear,
 )
 from .measures import CircleMeasure
 from .measures import szego_potential as _szego_potential
@@ -263,13 +263,7 @@ def bergman_lift(
     This is the unitary carrying the order-(n-1) arc-length seminorm onto
     the weighted Bergman space of the local weight at lam.
     """
-    lam = complex(boundary_point)
-    shifted = multiply(
-        f,
-        AnalyticFunction((-lam, 1.0)),
-        max_degree=f.degree + 1,
-    )
-    return derivative(shifted, order)
+    return derivative(times_linear(f, complex(boundary_point)), order)
 
 
 def dirichlet_kernel_value(
@@ -424,11 +418,7 @@ def atomic_decompose(
         )
     rebuilt = quotient
     for point in points:
-        rebuilt = multiply(
-            rebuilt,
-            AnalyticFunction((-point, 1.0)),
-            max_degree=rebuilt.degree + 1,
-        )
+        rebuilt = times_linear(rebuilt, point)
     rebuilt = rebuilt + interpolant
     width = max(len(f.coeffs), len(rebuilt.coeffs))
     fc = np.zeros(width, dtype=complex)

@@ -15,6 +15,8 @@ from math import isfinite
 
 import numpy as np
 
+from .quadrature import _extrapolation_weights
+
 #: Degree at which products are truncated unless the caller says otherwise.
 DEFAULT_TRUNCATION_DEGREE = 64
 
@@ -168,6 +170,11 @@ def multiply(
     return AnalyticFunction(tuple(full), f.exact and g.exact)
 
 
+def times_linear(f: AnalyticFunction, root: complex) -> AnalyticFunction:
+    """The product (z - root) * f, one degree up and never truncated."""
+    return multiply(f, AnalyticFunction((-root, 1.0)), max_degree=f.degree + 1)
+
+
 def divide_by_root(
     f: AnalyticFunction,
     lam: complex,
@@ -214,23 +221,22 @@ def boundary_value(
     """Radial boundary value of f at a unimodular point.
 
     Exact polynomials are just evaluated.  Truncations are sampled along
-    r_k = 1 - 2^-k and extrapolated to r = 1 (Neville in h = 1 - r); if any
-    sample exceeds the divergence threshold, the status is ``DIVERGENT``
-    and the value is meaningless.
+    r_k = 1 - 2^-k and extrapolated to r = 1 with the exact polynomial
+    extrapolation weights of :func:`quadrature._extrapolation_weights`
+    (the gaps h = 1 - r are 2^-3 times 2^-l, and that scale cancels); if
+    any sample exceeds the divergence threshold, the status is
+    ``DIVERGENT`` and the value is meaningless.
     """
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-9:
         raise ValueError("boundary point must lie on the unit circle")
     if f.exact:
         return evaluate(f, lam), BoundaryStatus.EXACT
-    hs = np.array([2.0**-k for k in _BOUNDARY_RADII_EXPONENTS])
-    samples = np.array([evaluate(f, (1.0 - h) * lam) for h in hs])
+    samples = np.array(
+        [evaluate(f, (1.0 - 2.0**-k) * lam) for k in _BOUNDARY_RADII_EXPONENTS]
+    )
     if np.any(np.abs(samples) > _DIVERGENCE_THRESHOLD):
         return complex("nan+nanj"), BoundaryStatus.DIVERGENT
-    table = samples.copy()
-    for m in range(1, len(table)):
-        for i in range(len(table) - m):
-            table[i] = table[i + 1] + (table[i + 1] - table[i]) * hs[i + m] / (
-                hs[i] - hs[i + m]
-            )
-    return complex(table[0]), BoundaryStatus.EXTRAPOLATED
+    weights, _ = _extrapolation_weights(len(samples) - 1)
+    value = np.dot(np.array(weights, dtype=float), samples)
+    return complex(value), BoundaryStatus.EXTRAPOLATED

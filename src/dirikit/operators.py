@@ -99,7 +99,12 @@ def _atom_pair_matrix(angle: float, order: int, degree: int) -> np.ndarray:
 
 
 def gram_section(measures: MeasureTuple, degree: int) -> GramSection:
-    """Exact-path Gram matrix of 1, z, ..., z^degree in the tuple norm."""
+    """Exact-path Gram matrix of 1, z, ..., z^degree in the tuple norm.
+
+    Entry [j, k] is <z^j, z^k>, linear in the first slot, so
+    ||sum a_k z^k||^2 = sum_{j,k} a_j G[j, k] conj(a_k), that is
+    a^T G conj(a) and not a^H G a.
+    """
     if degree < 1:
         raise ValueError("section degree must be positive")
     size = degree + 1

@@ -227,8 +227,10 @@ def _poisson_energy_on_grid(
         ).real
     weight = (1.0 - r**2) ** (order - 1)
     value = float(np.sum(wr * profile * weight))
-    # the integrand |h|^2 * weight is non-negative; clip roundoff dust
-    return max(value, 0.0) / (math.factorial(order) * math.factorial(order - 1))
+    # the integrand |h|^2 * weight is non-negative; clip roundoff dust.
+    # Divide exactly: n! (n-1)! overflows a float from order 99 on.
+    norm = math.factorial(order) * math.factorial(order - 1)
+    return float(Fraction(max(value, 0.0)) / norm)
 
 
 def poisson_weighted_energy(

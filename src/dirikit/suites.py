@@ -8,7 +8,7 @@ executed concurrently without changing the report.
 
 Residuals are normalized: equality checks report |lhs - rhs| / scale,
 inequality checks report (lhs - rhs) / scale, with scale = max(1, rhs).
-A trial fails when its residual exceeds the suite tolerance.
+A check fails when its residual exceeds the suite tolerance or its own.
 """
 
 from __future__ import annotations
@@ -34,10 +34,20 @@ from .dirichlet import (
     szego_kernel_energy,
     szego_kernel_truncation,
 )
-from .functions import AnalyticFunction, dilate, evaluate, multiply
+from .functions import (
+    AnalyticFunction,
+    dilate,
+    divide_by_root,
+    evaluate,
+    multiply,
+    times_linear,
+)
 from .measures import Atom, CircleMeasure, MeasureTuple
 from .operators import defect_kernel_check, defect_sequence
 from .quadrature import QuadratureSpec, poisson_weighted_energy
+
+#: Suites that integrate by quadrature and so take a ``spec``.
+_QUADRATURE_SUITES = ("douglas", "tmap", "szego")
 
 
 @dataclass(frozen=True)
@@ -90,31 +100,99 @@ class VerificationReport:
 
 
 class _Recorder:
-    """Accumulates residuals and failures against a tolerance."""
+    """Accumulates residuals and failures against a tolerance.
 
-    def __init__(self, tolerance: float):
+    A check may pass its own tolerance, a constant of the suite code that
+    the suite tolerance, overridden or not, leaves alone.  ``overridden``
+    says whether the caller chose the suite tolerance.  A yes/no check
+    (:meth:`require`) has no residual: it records a failure of gap 1 and
+    leaves ``max_residual`` alone.
+    """
+
+    def __init__(self, tolerance: float, overridden: bool):
         self.tolerance = tolerance
+        self.overridden = overridden
         self.failures: list[Failure] = []
         self.max_residual = -math.inf
 
-    def equality(self, record: dict, observed: float, expected: float) -> None:
+    def equality(self, record: dict, observed: float, expected: float,
+                 tolerance: float | None = None) -> None:
         residual = abs(observed - expected) / max(1.0, abs(expected))
-        self._note(record, observed, expected, residual)
+        self._note(record, observed, expected, residual, tolerance)
 
-    def upper_bound(self, record: dict, observed: float, bound: float) -> None:
+    def upper_bound(self, record: dict, observed: float, bound: float,
+                    tolerance: float | None = None) -> None:
         residual = (observed - bound) / max(1.0, abs(bound))
-        self._note(record, observed, bound, residual)
+        self._note(record, observed, bound, residual, tolerance)
 
-    def _note(
-        self, record: dict, observed: float, expected: float, residual: float
-    ) -> None:
+    def require(self, record: dict, holds: bool, observed: float,
+                expected: float) -> None:
+        if not holds:
+            self.failures.append(Failure(record, observed, expected, 1.0))
+
+    def _note(self, record: dict, observed: float, expected: float,
+              residual: float, tolerance: float | None) -> None:
         self.max_residual = max(self.max_residual, residual)
-        if residual > self.tolerance:
+        if residual > (self.tolerance if tolerance is None else tolerance):
             self.failures.append(Failure(record, observed, expected, residual))
 
 
-def _trial_rng(seed: int, index: int) -> np.random.Generator:
-    return np.random.default_rng([seed, index])
+def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
+           lowest_order: int = 1):
+    """Turn a suite body into a runner with the shared keyword interface.
+
+    The runner takes ``trials``, ``seed``, ``spec``, ``orders`` and
+    ``tolerance``; ``None`` means the defaults given here, and the spec
+    default is :meth:`QuadratureSpec.default`.  Before the first trial it
+    raises ``ValueError`` for a negative trial count, for orders or a spec
+    the suite does not read (it reads orders when it has default orders,
+    and a spec when it is one of the quadrature suites), and for an order
+    below ``lowest_order``.  The body receives a :class:`_Recorder`, the
+    (index, generator) pair of each trial with the generator seeded by
+    (seed, index), and the orders and spec it reads as keywords.  The
+    runner times the body and returns its :class:`VerificationReport`.
+    """
+    default_trials, default_tolerance, default_orders = trials, tolerance, orders
+
+    def wrap(body):
+        name = body.__name__.removeprefix("run_")
+        quadrature = name in _QUADRATURE_SUITES
+
+        def run(trials: int | None = None, seed: int = 0,
+                spec: QuadratureSpec | None = None,
+                orders: list[int] | None = None,
+                tolerance: float | None = None) -> VerificationReport:
+            trials = default_trials if trials is None else trials
+            if trials < 0:
+                raise ValueError(f"{name}: trial count must be non-negative")
+            if orders is not None and default_orders is None:
+                raise ValueError(f"{name}: this suite takes no orders")
+            if orders is not None and min(orders, default=-1) < lowest_order:
+                raise ValueError(f"{name}: need orders, each >= {lowest_order}")
+            if spec is not None and not quadrature:
+                raise ValueError(f"{name}: this suite takes no quadrature spec")
+            start = time.perf_counter()
+            chosen = tolerance is not None
+            recorder = _Recorder(tolerance if chosen else default_tolerance, chosen)
+            draws = ((i, np.random.default_rng([seed, i])) for i in range(trials))
+            reads = {}
+            if default_orders is not None:
+                reads["orders"] = list(orders or default_orders)
+            if quadrature:
+                reads["spec"] = spec or QuadratureSpec.default()
+            body(recorder, draws, **reads)
+            worst = recorder.max_residual
+            return VerificationReport(
+                name, trials, seed, recorder.failures,
+                worst if worst > -math.inf else 0.0,
+                time.perf_counter() - start,
+            )
+
+        run.__name__ = run.__qualname__ = body.__name__
+        run.__doc__ = body.__doc__
+        return run
+
+    return wrap
 
 
 def _random_polynomial(
@@ -168,17 +246,8 @@ def _random_measure(rng: np.random.Generator) -> CircleMeasure:
     return CircleMeasure(atomic.atoms, float(rng.uniform(0.2, 2.0)))
 
 
-def _monomial(k: int) -> AnalyticFunction:
-    return AnalyticFunction.monomial(k)
-
-
-def run_monomial(
-    trials: int = 50,
-    seed: int = 0,
-    spec: QuadratureSpec | None = None,
-    orders: list[int] | None = None,
-    tolerance: float = 1e-12,
-) -> VerificationReport:
+@_suite(trials=50, tolerance=1e-12, orders=[1, 2, 3, 4])
+def run_monomial(rec: _Recorder, draws, orders) -> None:
     """Local integral of z^k at any atom equals binom(k, n).
 
     The oracle is the binomial coefficient itself (hockey-stick closed
@@ -186,97 +255,56 @@ def run_monomial(
     order-(n-1) coefficient series, and must also coincide with the plain
     arc-length series for z^k.
     """
-    start = time.perf_counter()
-    recorder = _Recorder(tolerance)
-    orders = orders or [1, 2, 3, 4]
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+    for i, rng in draws:
         angle = _random_angle(rng)
         measure = CircleMeasure.point_mass(angle)
         for n in orders:
             for k in range(16):
                 record = {"trial": i, "k": k, "n": n, "atom_angle": angle}
-                value = dirichlet_weighted(_monomial(k), measure, n).value
-                recorder.equality(record, value, float(math.comb(k, n)))
-                sigma = dirichlet_sigma(_monomial(k), n).value
-                recorder.equality(
-                    {**record, "check": "sigma-agrees"}, value, sigma
-                )
-    return _finish("monomial", trials, seed, recorder, start)
+                zk = AnalyticFunction.monomial(k)
+                value = dirichlet_weighted(zk, measure, n).value
+                rec.equality(record, value, float(math.comb(k, n)))
+                sigma = dirichlet_sigma(zk, n).value
+                rec.equality({**record, "check": "sigma-agrees"}, value, sigma)
 
 
-def run_douglas(
-    trials: int = 200,
-    seed: int = 0,
-    spec: QuadratureSpec | None = None,
-    orders: list[int] | None = None,
-    tolerance: float | None = None,
-) -> VerificationReport:
+@_suite(trials=200, tolerance=1e-6, orders=[1, 2, 3, 4])
+def run_douglas(rec: _Recorder, draws, orders, spec) -> None:
     """Quadrature route of the local integral against the quotient series.
 
     Order 1 keeps a looser tolerance: its weight is genuinely singular at
     the atom and only the angular convolution keeps it integrable.
     """
-    start = time.perf_counter()
-    spec = spec or QuadratureSpec.default()
-    orders = orders or [1, 2, 3, 4]
-    tolerances = {1: 1e-3}
-    recorder = _Recorder(tolerance if tolerance is not None else 1e-6)
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+    for i, rng in draws:
         n = orders[i % len(orders)]
         f = _random_polynomial(rng)
         angle = _random_angle(rng)
-        certificate = douglas_decompose(
-            f, np.exp(1j * angle), n, spec
-        )
-        tol = tolerance if tolerance is not None else tolerances.get(n, 1e-6)
-        record = {
-            "trial": i,
-            "n": n,
-            "degree": f.degree,
-            "atom_angle": angle,
-        }
-        residual = certificate.residual / max(1.0, certificate.rhs)
-        recorder.max_residual = max(recorder.max_residual, residual)
-        if residual > tol:
-            recorder.failures.append(
-                Failure(record, certificate.lhs, certificate.rhs, residual)
-            )
-    return _finish("douglas", trials, seed, recorder, start)
+        certificate = douglas_decompose(f, np.exp(1j * angle), n, spec)
+        record = {"trial": i, "n": n, "degree": f.degree, "atom_angle": angle}
+        # a chosen tolerance replaces the order-1 one as well
+        loose = 1e-3 if n == 1 and not rec.overridden else None
+        rec.equality(record, certificate.lhs, certificate.rhs, loose)
 
 
-def run_tmap(
-    trials: int = 100,
-    seed: int = 0,
-    spec: QuadratureSpec | None = None,
-    orders: list[int] | None = None,
-    tolerance: float = 1e-6,
-) -> VerificationReport:
+@_suite(trials=100, tolerance=1e-6, orders=[1, 2, 3, 4])
+def run_tmap(rec: _Recorder, draws, orders, spec) -> None:
     """Isometry of f -> ((z - lam) f)^(n) into the local Bergman space.
 
     The Bergman-side energy is quadrature over the disc; the source-side
     norm is the order-(n-1) coefficient series of f, drawn from the space
     with vanishing coefficients below n-1.
     """
-    start = time.perf_counter()
-    spec = spec or QuadratureSpec.default()
-    orders = orders or [1, 2, 3, 4]
-    recorder = _Recorder(tolerance)
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+    for i, rng in draws:
         n = orders[i % len(orders)]
         f = _random_polynomial(rng, zero_below=n - 1)
         angle = _random_angle(rng)
-        lam = np.exp(1j * angle)
-        lifted = bergman_lift(f, lam, n)
+        lifted = bergman_lift(f, np.exp(1j * angle), n)
         lhs, _ = poisson_weighted_energy(
             lambda z: evaluate(lifted, z), n, spec, atom_angle=angle
         )
         rhs = dirichlet_sigma(f, n - 1).value
         record = {"trial": i, "n": n, "degree": f.degree, "atom_angle": angle}
-        recorder.equality(record, lhs, rhs)
-    return _finish("tmap", trials, seed, recorder, start)
+        rec.equality(record, lhs, rhs)
 
 
 def _kernel_grid() -> list[complex]:
@@ -286,13 +314,8 @@ def _kernel_grid() -> list[complex]:
     ]
 
 
-def run_kernel(
-    trials: int = 25,
-    seed: int = 0,
-    spec: QuadratureSpec | None = None,
-    orders: list[int] | None = None,
-    tolerance: float = 1e-10,
-) -> VerificationReport:
+@_suite(trials=25, tolerance=1e-10, orders=[1, 2, 3])
+def run_kernel(rec: _Recorder, draws, orders) -> None:
     """Closed-form local Bergman kernel against its basis expansion.
 
     A fixed 5x5 point grid compares the rational closed form with the
@@ -300,9 +323,6 @@ def run_kernel(
     reproducing property of arc-length kernel sections against direct
     evaluation.
     """
-    start = time.perf_counter()
-    recorder = _Recorder(tolerance)
-    orders = orders or [1, 2, 3]
     points = _kernel_grid()
     for n in orders:
         for zi, z in enumerate(points):
@@ -311,9 +331,8 @@ def run_kernel(
                 closed = local_bergman_kernel(z, w, lam, n)
                 series = local_bergman_kernel_series(z, w, lam, n, 200)
                 record = {"check": "kernel", "n": n, "zi": zi, "wi": wi}
-                recorder.equality(record, abs(closed - series), 0.0)
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+                rec.equality(record, abs(closed - series), 0.0)
+    for i, rng in draws:
         j = int(rng.integers(0, 3))
         cutoff = 15
         f = _random_polynomial(rng, max_degree=20, zero_below=j)
@@ -321,32 +340,21 @@ def run_kernel(
         section = dirichlet_kernel_section(w, j, cutoff)
         paired = dirichlet_sigma_inner(f, section, j)
         direct = sum(
-            f.coeffs[k] * w**k
-            for k in range(j, min(cutoff, f.degree) + 1)
+            f.coeffs[k] * w**k for k in range(j, min(cutoff, f.degree) + 1)
         )
         record = {"check": "reproducing", "trial": i, "j": j}
-        recorder.equality(record, abs(paired - direct), 0.0)
-    return _finish("kernel", trials, seed, recorder, start)
+        rec.equality(record, abs(paired - direct), 0.0)
 
 
-def run_dilation(
-    trials: int = 500,
-    seed: int = 0,
-    spec: QuadratureSpec | None = None,
-    orders: list[int] | None = None,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
+@_suite(trials=500, tolerance=1e-9, orders=[2, 3])
+def run_dilation(rec: _Recorder, draws, orders) -> None:
     """Dilation bound: energy of f(rz) against the contraction factor.
 
     Also sweeps the closed-form factor over a 1000-point radius grid for
     orders up to 6 to confirm it never exceeds 1.
     """
-    start = time.perf_counter()
-    recorder = _Recorder(tolerance)
-    orders = orders or [2, 3]
     radii = [0.1 * k for k in range(1, 10)]
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+    for i, rng in draws:
         n = orders[i % len(orders)]
         f = _random_polynomial(rng)
         r = radii[int(rng.integers(0, len(radii)))]
@@ -354,64 +362,38 @@ def run_dilation(
         lhs = dirichlet_weighted(dilate(f, r), measure, n).value
         bound = dilation_factor(r, n) * dirichlet_weighted(f, measure, n).value
         record = {"trial": i, "n": n, "r": r, "degree": f.degree}
-        recorder.upper_bound(record, lhs, bound)
+        rec.upper_bound(record, lhs, bound)
     for n in range(1, 7):
         for r in np.linspace(0.0, 1.0, 1000, endpoint=False):
             factor = dilation_factor(float(r), n)
-            if factor > 1.0 + 1e-12:
-                recorder.failures.append(
-                    Failure(
-                        {"check": "factor<=1", "n": n, "r": float(r)},
-                        factor,
-                        1.0,
-                        factor - 1.0,
-                    )
-                )
-    return _finish("dilation", trials, seed, recorder, start)
+            rec.require({"check": "factor<=1", "n": n, "r": float(r)},
+                        factor <= 1.0 + 1e-12, factor, 1.0)
 
 
-def run_shiftineq(
-    trials: int = 500,
-    seed: int = 0,
-    spec: QuadratureSpec | None = None,
-    orders: list[int] | None = None,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
+@_suite(trials=500, tolerance=1e-9, orders=[0, 1, 2, 3], lowest_order=0)
+def run_shiftineq(rec: _Recorder, draws, orders) -> None:
     """Seminorm comparison of (z - lam) f against (z - r lam) f.
 
     Needs the shift to be expansive, which holds on the subspace with
     vanishing coefficients below the seminorm order.
     """
-    start = time.perf_counter()
-    recorder = _Recorder(tolerance)
-    orders = orders if orders is not None else [0, 1, 2, 3]
     radii = [0.0] + [0.1 * k for k in range(1, 10)]
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+    for i, rng in draws:
         j = orders[i % len(orders)]
         f = _random_polynomial(rng, zero_below=j)
         lam = np.exp(1j * _random_angle(rng))
         r = radii[int(rng.integers(0, len(radii)))]
-        outer = multiply(
-            f, AnalyticFunction((-lam, 1.0)), max_degree=f.degree + 1
+        lhs = math.sqrt(dirichlet_sigma(times_linear(f, lam), j).value)
+        rhs = (
+            2.0 / (1.0 + r)
+            * math.sqrt(dirichlet_sigma(times_linear(f, r * lam), j).value)
         )
-        inner = multiply(
-            f, AnalyticFunction((-r * lam, 1.0)), max_degree=f.degree + 1
-        )
-        lhs = math.sqrt(dirichlet_sigma(outer, j).value)
-        rhs = 2.0 / (1.0 + r) * math.sqrt(dirichlet_sigma(inner, j).value)
         record = {"trial": i, "j": j, "r": r, "degree": f.degree}
-        recorder.upper_bound(record, lhs, rhs)
-    return _finish("shiftineq", trials, seed, recorder, start)
+        rec.upper_bound(record, lhs, rhs)
 
 
-def run_multiplier(
-    trials: int = 200,
-    seed: int = 0,
-    spec: QuadratureSpec | None = None,
-    orders: list[int] | None = None,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
+@_suite(trials=200, tolerance=1e-9, orders=[1, 2, 3, 4])
+def run_multiplier(rec: _Recorder, draws, orders) -> None:
     """Multiplier inequalities with a certified multiplier-norm upper bound.
 
     By the local Douglas formula the quotient g_f = (f - f*(lam))/(z - lam)
@@ -432,13 +414,10 @@ def run_multiplier(
     inequalities falsely falsifiable; both are therefore tested with the
     certified upper bound taken at doubled section degree.  The
     inequalities presuppose a non-degenerate local integral of f, so f is
-    drawn with degree at least n.
+    drawn with degree at least n.  The sum over k is the full norm of one
+    quotient g_f, so it is read off the coefficient series of g_f.
     """
-    start = time.perf_counter()
-    recorder = _Recorder(tolerance)
-    orders = orders or [1, 2, 3, 4]
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+    for i, rng in draws:
         n = orders[i % len(orders)]
         phi = _random_polynomial(rng, max_degree=6)
         f = _random_polynomial(rng, min_degree=n)
@@ -449,83 +428,49 @@ def run_multiplier(
         upper = multiplier_norm_upper(phi, n - 1, 2 * section)
         product = multiply(phi, f, max_degree=phi.degree + f.degree)
         d_pf = dirichlet_weighted(product, measure, n).value
-        d_f = sum(
-            dirichlet_weighted(f, measure, k).value for k in range(1, n + 1)
-        )
+        f_lam = evaluate(f, lam)
+        g = divide_by_root(f, lam, f_lam)
+        d_f = sum(dirichlet_sigma(g, k).value for k in range(n))
         d_p = dirichlet_weighted(phi, measure, n).value
-        fstar = abs(evaluate(f, lam)) ** 2
-        record = {
-            "trial": i,
-            "n": n,
-            "deg_phi": phi.degree,
-            "deg_f": f.degree,
-            "atom_angle": angle,
-        }
-        recorder.upper_bound(
+        fstar = abs(f_lam) ** 2
+        record = {"trial": i, "n": n, "deg_phi": phi.degree,
+                  "deg_f": f.degree, "atom_angle": angle}
+        rec.upper_bound(
             {**record, "check": "product-bound"},
             d_pf,
             2.0 * upper**2 * d_f + 2.0 * fstar * d_p,
         )
-        recorder.upper_bound(
+        rec.upper_bound(
             {**record, "check": "boundary-bound"},
             fstar * d_p,
             2.0 * upper**2 * d_f + 2.0 * d_pf,
         )
-    return _finish("multiplier", trials, seed, recorder, start)
 
 
-def run_atomic(
-    trials: int = 100,
-    seed: int = 0,
-    spec: QuadratureSpec | None = None,
-    orders: list[int] | None = None,
-    tolerance: float = 1e-10,
-) -> VerificationReport:
+@_suite(trials=100, tolerance=1e-10)
+def run_atomic(rec: _Recorder, draws) -> None:
     """Round-trip of the interpolant-plus-product decomposition."""
-    start = time.perf_counter()
-    recorder = _Recorder(tolerance)
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+    for i, rng in draws:
         f = _random_polynomial(rng)
         count = int(rng.integers(1, 5))
         angles = _random_atom_angles(rng, count)
         split = atomic_decompose(f, angles, 1)
         scale = max(1.0, max(abs(c) for c in f.coeffs))
-        record = {
-            "trial": i,
-            "degree": f.degree,
-            "atoms": count,
-        }
-        recorder.equality(record, split.residual / scale, 0.0)
-        if split.interpolant.degree > count - 1:
-            recorder.failures.append(
-                Failure(
-                    {**record, "check": "interpolant-degree"},
-                    float(split.interpolant.degree),
-                    float(count - 1),
-                    1.0,
-                )
-            )
-    return _finish("atomic", trials, seed, recorder, start)
+        record = {"trial": i, "degree": f.degree, "atoms": count}
+        rec.equality(record, split.residual / scale, 0.0)
+        degree = split.interpolant.degree
+        rec.require({**record, "check": "interpolant-degree"},
+                    degree <= count - 1, float(degree), float(count - 1))
 
 
-def run_szego(
-    trials: int = 1,
-    seed: int = 0,
-    spec: QuadratureSpec | None = None,
-    orders: list[int] | None = None,
-    tolerance: float = 1e-4,
-) -> VerificationReport:
+@_suite(trials=1, tolerance=1e-4, orders=[1, 2, 3])
+def run_szego(rec: _Recorder, draws, orders, spec) -> None:
     """Closed-form Szego kernel energies against quadrature and series.
 
     The quadrature side integrates a degree-60 truncation of the kernel;
     for the arc-length measure the exact coefficient series gives a much
     tighter independent oracle, checked at 1e-10.
     """
-    start = time.perf_counter()
-    spec = spec or QuadratureSpec.default()
-    recorder = _Recorder(tolerance)
-    orders = orders or [1, 2, 3]
     measures = {
         "atom-1": CircleMeasure.point_mass(0.0),
         "arc": CircleMeasure.arc_length(1.0),
@@ -544,8 +489,7 @@ def run_szego(
                     truncation, measure, n, spec, force_quadrature=True
                 ).value
                 record = {"measure": name, "n": n, "w": [w.real, w.imag]}
-                recorder.equality(record, quad, closed)
-    series_recorder = _Recorder(1e-10)
+                rec.equality(record, quad, closed)
     for n in orders:
         for w in points:
             closed = szego_kernel_energy(w, CircleMeasure.arc_length(), n)
@@ -559,33 +503,19 @@ def run_szego(
                 term = math.comb(k, n) * x**k
             record = {"measure": "arc", "n": n, "w": [w.real, w.imag],
                       "check": "series"}
-            series_recorder.equality(record, total, closed)
-    recorder.failures.extend(series_recorder.failures)
-    recorder.max_residual = max(
-        recorder.max_residual, series_recorder.max_residual
-    )
-    return _finish("szego", trials, seed, recorder, start)
+            rec.equality(record, total, closed, 1e-10)
 
 
-def run_isometry(
-    trials: int = 100,
-    seed: int = 0,
-    spec: QuadratureSpec | None = None,
-    orders: list[int] | None = None,
-    tolerance: float = 1e-8,
-) -> VerificationReport:
+@_suite(trials=100, tolerance=1e-8)
+def run_isometry(rec: _Recorder, draws) -> None:
     """Vanishing (m+1)-th defect differences and positivity of the second.
 
     For a length-m tuple the squared shifted norms are degree-m
     polynomials of the shift power, so the (m+1)-th forward difference
     must vanish; for length-2 tuples with an atomic second entry the
-    second difference must additionally be non-negative.
+    second difference must additionally be non-negative, checked at 1e-9.
     """
-    start = time.perf_counter()
-    recorder = _Recorder(tolerance)
-    positivity = _Recorder(1e-9)
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+    for i, rng in draws:
         m = int(rng.integers(1, 4))
         entries = []
         for _ in range(m):
@@ -598,90 +528,40 @@ def run_isometry(
         f = _random_polynomial(rng, max_degree=8)
         report = defect_sequence(f, measures, m + 1)
         record = {"trial": i, "m": m, "degree": f.degree}
-        recorder.equality(record, report.differences[m + 1][0], 0.0)
+        rec.equality(record, report.differences[m + 1][0], 0.0)
         base = _random_measure(rng)
         atomic = _random_atomic_measure(rng)
         pair = MeasureTuple((base, atomic))
         defect = defect_sequence(f, pair, 2).differences[2][0]
-        positivity.upper_bound(
-            {**record, "check": "positivity"}, -defect, 0.0
-        )
-    recorder.failures.extend(positivity.failures)
-    recorder.max_residual = max(recorder.max_residual, positivity.max_residual)
-    return _finish("isometry", trials, seed, recorder, start)
+        rec.upper_bound({**record, "check": "positivity"}, -defect, 0.0, 1e-9)
 
 
-def run_vsubspace(
-    trials: int = 100,
-    seed: int = 0,
-    spec: QuadratureSpec | None = None,
-    orders: list[int] | None = None,
-    tolerance: float = 1e-9,
-) -> VerificationReport:
+@_suite(trials=100, tolerance=1e-9)
+def run_vsubspace(rec: _Recorder, draws) -> None:
     """Second defect vanishes exactly when boundary values at atoms do.
 
     Even trials force the root case by multiplying through the atom
     factors; odd trials use generic polynomials, which almost surely do
     not vanish at the atoms.
     """
-    start = time.perf_counter()
-    recorder = _Recorder(tolerance)
-    for i in range(trials):
-        rng = _trial_rng(seed, i)
+    for i, rng in draws:
         atomic = _random_atomic_measure(rng)
         base = _random_measure(rng) if rng.uniform() < 0.5 else CircleMeasure.zero()
         f = _random_polynomial(rng, max_degree=6)
         rooted = i % 2 == 0
         if rooted:
             for atom in atomic.atoms:
-                f = multiply(
-                    f,
-                    AnalyticFunction((-atom.point, 1.0)),
-                    max_degree=f.degree + 1,
-                )
+                f = times_linear(f, atom.point)
         check = defect_kernel_check(f, base, atomic)
-        record = {
-            "trial": i,
-            "rooted": rooted,
-            "atoms": len(atomic.atoms),
-            "degree": f.degree,
-        }
-        if not check.consistent:
-            recorder.failures.append(
-                Failure(
-                    {**record, "check": "consistency"},
-                    check.defect2,
-                    check.order_zero,
-                    1.0,
-                )
-            )
+        record = {"trial": i, "rooted": rooted,
+                  "atoms": len(atomic.atoms), "degree": f.degree}
+        rec.require({**record, "check": "consistency"}, check.consistent,
+                    check.defect2, check.order_zero)
         if rooted:
-            recorder.equality(
-                {**record, "check": "rooted-defect"}, check.defect2, 0.0
-            )
-            recorder.equality(
+            rec.equality({**record, "check": "rooted-defect"}, check.defect2, 0.0)
+            rec.equality(
                 {**record, "check": "rooted-boundary"}, check.order_zero, 0.0
             )
-    return _finish("vsubspace", trials, seed, recorder, start)
-
-
-def _finish(
-    suite: str,
-    trials: int,
-    seed: int,
-    recorder: _Recorder,
-    start: float,
-) -> VerificationReport:
-    return VerificationReport(
-        suite=suite,
-        trials=trials,
-        seed=seed,
-        failures=recorder.failures,
-        max_residual=(
-            recorder.max_residual if recorder.max_residual > -math.inf else 0.0
-        ),
-        elapsed=time.perf_counter() - start,
-    )
 
 
 SUITES = {
@@ -710,13 +590,9 @@ def run_suite(
     """Run one suite by name with optional overrides."""
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
-    runner = SUITES[name]
-    kwargs: dict = {"seed": seed, "spec": spec, "orders": orders}
-    if trials is not None:
-        kwargs["trials"] = trials
-    if tolerance is not None:
-        kwargs["tolerance"] = tolerance
-    return runner(**kwargs)
+    return SUITES[name](
+        trials=trials, seed=seed, spec=spec, orders=orders, tolerance=tolerance
+    )
 
 
 def run_all(
@@ -725,8 +601,9 @@ def run_all(
     trials: int | None = None,
     tolerance: float | None = None,
 ) -> list[VerificationReport]:
-    """Run every suite in registry order."""
+    """Run every suite in registry order; only quadrature suites get ``spec``."""
     return [
-        run_suite(name, trials=trials, seed=seed, spec=spec, tolerance=tolerance)
+        run_suite(name, trials=trials, seed=seed, tolerance=tolerance,
+                  spec=spec if name in _QUADRATURE_SUITES else None)
         for name in SUITES
     ]

@@ -204,3 +204,43 @@ def test_order_zero_rejected_with_exit_two(square_file, atom_file):
         ["eval", "--function", square_file, "--measure", atom_file, "--n", "0"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "atomic", "--n", "3"],
+        ["verify", "kernel", "--quad", "16,16,0,0"],
+        ["verify", "all", "--n", "2"],
+        ["verify", "douglas", "--n", "0"],
+        ["verify", "douglas", "--trials", "-3"],
+    ],
+)
+def test_verify_rejects_ignored_or_invalid_arguments(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_verify_all_accepts_quad(capsys):
+    argv = ["verify", "all", "--quad", "96,256,0.015625,4", "--trials", "1"]
+    assert main(argv) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 11
+
+
+def test_eval_forced_quadrature_at_high_order(square_file, atom_file, capsys):
+    code = main(
+        [
+            "eval",
+            "--function",
+            square_file,
+            "--measure",
+            atom_file,
+            "--n",
+            "200",
+            "--force-quadrature",
+        ]
+    )
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["value"] == 0.0

@@ -503,3 +503,13 @@ def test_bounded_nth_derivative_products_stay_finite():
             multiply(phi, f, max_degree=phi.degree + 8), measure, n
         ).value
         assert math.isfinite(value)
+
+
+def test_quadrature_route_at_order_99():
+    # n! (n-1)! no longer fits a float from order 99 on; the exact division
+    # keeps the quadrature route alive and equal to the exact route
+    f = AnalyticFunction((1, 2, 3))
+    atom = CircleMeasure.point_mass(0.0)
+    forced = dirichlet_weighted(f, atom, 99, force_quadrature=True)
+    assert forced.value == 0.0
+    assert forced.value == dirichlet_weighted(f, atom, 99).value

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirikit.functions import times_linear
+
 from dirikit import (
     AnalyticFunction,
     BoundaryStatus,
@@ -239,3 +241,11 @@ def test_rejects_empty_coefficients():
 def test_rejects_non_finite_coefficients():
     with pytest.raises(ValueError):
         AnalyticFunction((float("inf"),))
+
+
+def test_times_linear_is_the_linear_product():
+    f = AnalyticFunction((0.5 - 1j, 2.0, 0.25j), exact=False)
+    root = np.exp(0.7j)
+    product = times_linear(f, root)
+    assert product == multiply(f, AnalyticFunction((-root, 1.0)), max_degree=3)
+    assert product.degree == 3 and not product.exact

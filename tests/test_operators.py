@@ -200,3 +200,22 @@ def test_second_defect_positive_for_pair_tuples():
         tail = CircleMeasure.point_mass(float(rng.uniform(0, 6)), 1.1)
         report = defect_sequence(f, MeasureTuple((base, tail)), 2)
         assert report.differences[2][0] >= -1e-9
+
+
+def test_gram_quadratic_form_is_tuple_norm():
+    # G[j, k] = <z^j, z^k> is linear in j: the norm is a^T G conj(a)
+    mt = MeasureTuple(
+        (
+            CircleMeasure((Atom(0.4, 0.7),), 0.3),
+            CircleMeasure.point_mass(2.0, 1.2),
+            CircleMeasure((Atom(1.0, 0.5), Atom(3.0, 0.8)), 0.4),
+        )
+    )
+    rng = np.random.default_rng(3)
+    a = rng.uniform(-1, 1, 9) + 1j * rng.uniform(-1, 1, 9)
+    matrix = gram_section(mt, 8).matrix
+    form = a @ matrix @ a.conj()
+    norm = tuple_norm_sq(AnalyticFunction(tuple(a)), mt)
+    assert form.real == pytest.approx(norm, rel=1e-12)
+    assert abs(form.imag) < 1e-12 * norm
+    assert abs((a.conj() @ matrix @ a).real - norm) > 1.0

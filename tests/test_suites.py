@@ -1,0 +1,94 @@
+"""Suite driver contract: tolerances, argument checks, the registry."""
+
+import numpy as np
+import pytest
+
+from dirikit import QuadratureSpec
+from dirikit.suites import (
+    SUITES,
+    run_atomic,
+    run_dilation,
+    run_douglas,
+    run_isometry,
+    run_all,
+    run_kernel,
+    run_shiftineq,
+    run_suite,
+    run_szego,
+)
+
+
+def test_szego_series_checks_keep_their_tolerance():
+    # the 36 quadrature checks fail; the 9 series checks keep 1e-10
+    report = run_szego(tolerance=-1)
+    assert len(report.failures) == 36
+    assert all("check" not in f.record for f in report.failures)
+
+
+def test_isometry_positivity_keeps_its_tolerance():
+    # one vanishing-difference failure per trial; positivity keeps 1e-9
+    report = run_isometry(trials=20, tolerance=-1)
+    assert len(report.failures) == 20
+
+
+def test_douglas_override_reaches_order_one():
+    report = run_douglas(trials=12, tolerance=-1)
+    assert len(report.failures) == 12
+    assert {f.record["n"] for f in report.failures} == {1, 2, 3, 4}
+
+
+def test_dilation_factor_sweep_stays_out_of_max_residual():
+    report = run_dilation(trials=5, tolerance=-1)
+    assert len(report.failures) == 5
+    assert report.max_residual < -0.1
+
+
+@pytest.mark.parametrize(
+    "runner, kwargs",
+    [
+        (run_atomic, {"orders": [1]}),
+        (run_isometry, {"orders": [2]}),
+        (run_kernel, {"spec": QuadratureSpec()}),
+        (run_shiftineq, {"spec": QuadratureSpec()}),
+        (run_douglas, {"orders": [0]}),
+        (run_douglas, {"orders": []}),
+        (run_shiftineq, {"orders": [-1]}),
+        (run_douglas, {"trials": -1}),
+    ],
+)
+def test_driver_rejects_before_the_first_trial(runner, kwargs, monkeypatch):
+    def no_trial(*args, **kwargs):
+        raise AssertionError("a trial started")
+
+    monkeypatch.setattr(np.random, "default_rng", no_trial)
+    with pytest.raises(ValueError):
+        runner(**{"trials": 5, **kwargs})
+
+
+def test_shiftineq_accepts_order_zero():
+    report = run_shiftineq(trials=4, orders=[0])
+    assert report.passed and report.trials == 4
+
+
+def test_runners_are_looked_up_in_the_registry_at_call_time(monkeypatch):
+    # run_suite and run_all read SUITES when called and nothing else off
+    # its values, so plain callables may stand in for the runners
+    calls = {}
+    for name in SUITES:
+        def fake(name=name, **kwargs):
+            calls[name] = kwargs
+            return name
+
+        monkeypatch.setitem(SUITES, name, fake)
+    assert run_suite("atomic", trials=3) == "atomic"
+    assert calls["atomic"]["trials"] == 3
+    spec = QuadratureSpec(32, 64, 0.0, 0)
+    assert run_all(seed=7, spec=spec) == list(SUITES)
+    assert {name for name, kw in calls.items() if kw["spec"] is not None} == {
+        "douglas",
+        "tmap",
+        "szego",
+    }
+    assert all(kw["seed"] == 7 for kw in calls.values())
+    with pytest.raises(KeyError):
+        run_suite("nonexistent")
