@@ -74,7 +74,11 @@ def _parse_spec(text: str | None) -> QuadratureSpec:
 
 
 def _dump_json(payload) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InputError(f"result is not finite: {exc}") from exc
+    return text + "\n"
 
 
 def _write_text(text: str, out: str | None) -> None:
@@ -186,7 +190,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     tolerance=args.tol,
                 )
             ]
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         raise InputError(str(exc)) from exc
     for report in reports:
         status = "pass" if report.passed else "FAIL"

@@ -132,22 +132,6 @@ def _atom_decomposition_value(
     return dirichlet_sigma(quotient, order - 1).value
 
 
-def _quadrature_atom_value(
-    f: AnalyticFunction, angle: float, order: int, spec: QuadratureSpec
-) -> tuple[float, float]:
-    df = derivative(f, order)
-    return poisson_weighted_energy(
-        lambda z: evaluate(df, z), order, spec, atom_angle=angle
-    )
-
-
-def _quadrature_sigma_value(
-    f: AnalyticFunction, order: int, spec: QuadratureSpec
-) -> tuple[float, float]:
-    df = derivative(f, order)
-    return poisson_weighted_energy(lambda z: evaluate(df, z), order, spec)
-
-
 def dirichlet_weighted(
     f: AnalyticFunction,
     measure: CircleMeasure,
@@ -158,43 +142,37 @@ def dirichlet_weighted(
     """Weighted Dirichlet-type integral of positive order.
 
     The measure splits into its arc-length multiple and its atoms and the
-    parts add up.  Exact polynomials take the decomposition route per atom
-    and the coefficient series for the arc-length part; truncations, and
-    any call with ``force_quadrature``, integrate numerically instead.
+    parts add up, arc length first.  Exact polynomials take the
+    decomposition route per atom and the coefficient series for the
+    arc-length part.  Truncations integrate their atoms numerically, and
+    ``force_quadrature`` integrates every part numerically; the numerical
+    parts come from one ``poisson_weighted_energy`` call.
     """
     if order < 1:
         raise ValueError(
             "order must be positive; use dirichlet_atomic_order_zero for order 0"
         )
     spec = spec or QuadratureSpec.default()
-    quadrature = force_quadrature or not f.exact
     total = 0.0
     error = 0.0
-    methods: set[str] = set()
-    if measure.lebesgue > 0:
-        if force_quadrature:
-            value, est = _quadrature_sigma_value(f, order, spec)
-            total += measure.lebesgue * value
-            error += measure.lebesgue * est
-            methods.add("quadrature")
-        else:
-            total += measure.lebesgue * dirichlet_sigma(f, order).value
-            methods.add("series")
-    for atom in measure.atoms:
-        if quadrature:
-            value, est = _quadrature_atom_value(f, atom.angle, order, spec)
-            total += atom.mass * value
-            error += atom.mass * est
-            methods.add("quadrature")
-        else:
+    method = "series"
+    if measure.lebesgue > 0 and not force_quadrature:
+        total += measure.lebesgue * dirichlet_sigma(f, order).value
+    if force_quadrature or not f.exact:
+        # the parts left to quadrature share one sampling of f^(n)
+        sampled = measure if force_quadrature else CircleMeasure(measure.atoms)
+        if sampled.total_mass > 0:
+            df = derivative(f, order)
+            for value, est in poisson_weighted_energy(
+                lambda z: evaluate(df, z), order, spec, sampled
+            ):
+                total += value
+                error += est
+            method = "quadrature"
+    elif measure.atoms:
+        for atom in measure.atoms:
             total += atom.mass * _atom_decomposition_value(f, atom.point, order)
-            methods.add("decomposition")
-    if "quadrature" in methods:
-        method = "quadrature"
-    elif "decomposition" in methods:
         method = "decomposition"
-    else:
-        method = "series"
     return DirichletResult(total, method, error, order)
 
 
@@ -242,7 +220,11 @@ def douglas_decompose(
             "no decomposition: divergent boundary value at this point"
         )
     quotient = divide_by_root(f, lam, alpha)
-    lhs, lhs_error = _quadrature_atom_value(f, cmath.phase(lam), order, spec)
+    df = derivative(f, order)
+    [(lhs, lhs_error)] = poisson_weighted_energy(
+        lambda z: evaluate(df, z), order, spec,
+        CircleMeasure.point_mass(cmath.phase(lam)),
+    )
     rhs = dirichlet_sigma(quotient, order - 1).value
     return DouglasCertificate(
         alpha=alpha,

@@ -23,6 +23,10 @@ class Atom:
     angle: float
     mass: float
 
+    def __post_init__(self):
+        if not (math.isfinite(self.angle) and math.isfinite(self.mass)):
+            raise ValueError("atom angle and mass must be finite")
+
     @property
     def point(self) -> complex:
         return cmath.exp(1j * self.angle)
@@ -36,8 +40,8 @@ class CircleMeasure:
     lebesgue: float = 0.0
 
     def __post_init__(self):
-        if self.lebesgue < 0:
-            raise ValueError("arc-length component must be non-negative")
+        if not (math.isfinite(self.lebesgue) and self.lebesgue >= 0):
+            raise ValueError("arc-length component must be finite and non-negative")
         normalized = []
         for atom in self.atoms:
             if atom.mass <= 0:

@@ -14,7 +14,9 @@ that uniform sampling aliases badly, so instead of sampling it we sample
 only the smooth |h|^2 factor, take its angular Fourier coefficients, and
 convolve with the Poisson kernel's known coefficients r^|d|.  The angular
 step is then exact for band-limited integrands and the radial profile is
-smooth on the whole of [0, 1]; no clipping is needed.
+smooth on the whole of [0, 1]; no clipping is needed.  The samples do not
+depend on the atom, so a whole measure costs one sampling per grid and
+one contraction per atom.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
+
+from .measures import CircleMeasure
 
 #: Environment variable holding a "radial,angular,clip,levels" override.
 QUAD_DEFAULT_ENV = "DIRIKIT_QUAD_DEFAULT"
@@ -202,64 +206,84 @@ def integrate_disc(integrand, spec: QuadratureSpec) -> tuple[complex, float]:
     return value, estimate
 
 
-def _poisson_energy_on_grid(
-    values_fn,
-    order: int,
-    radial: int,
-    angular: int,
-    atom_angle: float | None,
-) -> float:
+@lru_cache(maxsize=16)
+def _poisson_grid(radial: int, angular: int) -> tuple[np.ndarray, ...]:
+    """Read-only radii r, radial weights, nodes z, FFT frequencies d and
+    Poisson kernel coefficients r^|d| (one row per radius) of one grid."""
     r, wr = _radial_rule(radial, 1.0)
     z = r[:, None] * np.exp(1j * _angles(angular))[None, :]
+    freqs = np.rint(np.fft.fftfreq(angular, 1.0 / angular)).astype(int)
+    kernel = r[:, None] ** np.abs(freqs)[None, :]
+    for array in (r, wr, z, freqs, kernel):
+        array.setflags(write=False)
+    return r, wr, z, freqs, kernel
+
+
+def _poisson_energies_on_grid(
+    values_fn, order: int, radial: int, angular: int, measure: CircleMeasure
+) -> list[float]:
+    r, wr, z, freqs, kernel = _poisson_grid(radial, angular)
     samples = _sample(values_fn, z)
     _check_finite(samples, z)
     squares = np.abs(samples) ** 2
-    if atom_angle is None:
-        profile = squares.mean(axis=1)
-    else:
+    profiles = []
+    if measure.lebesgue > 0:
+        profiles.append(squares.mean(axis=1))
+    if measure.atoms:
         # exact angular integral of squares * Poisson: convolve the sampled
         # Fourier coefficients with the kernel coefficients r^|d| e^(i d a)
-        coeffs = np.fft.fft(squares, axis=1) / angular
-        freqs = np.rint(np.fft.fftfreq(angular, 1.0 / angular)).astype(int)
-        phases = np.exp(1j * freqs * atom_angle)
-        profile = (coeffs * r[:, None] ** np.abs(freqs)[None, :] * phases).sum(
-            axis=1
-        ).real
+        smoothed = np.fft.fft(squares, axis=1) / angular * kernel
+        profiles += [
+            (smoothed * np.exp(1j * freqs * atom.angle)).sum(axis=1).real
+            for atom in measure.atoms
+        ]
     weight = (1.0 - r**2) ** (order - 1)
-    value = float(np.sum(wr * profile * weight))
     # the integrand |h|^2 * weight is non-negative; clip roundoff dust.
     # Divide exactly: n! (n-1)! overflows a float from order 99 on.
     norm = math.factorial(order) * math.factorial(order - 1)
-    return float(Fraction(max(value, 0.0)) / norm)
+    return [
+        float(Fraction(max(float(np.sum(wr * profile * weight)), 0.0)) / norm)
+        for profile in profiles
+    ]
 
 
 def poisson_weighted_energy(
     values_fn,
     order: int,
     spec: QuadratureSpec,
-    atom_angle: float | None = None,
-) -> tuple[float, float]:
-    """Weighted Bergman energy of a sampled function h.
+    measure: CircleMeasure | None = None,
+) -> list[tuple[float, float]]:
+    """Weighted Bergman energy of a sampled function h against a measure.
 
-    Computes the disc integral of |h|^2 times the local weight of the
-    given order: the Poisson kernel of the atom at ``exp(i*atom_angle)``
-    (or 1 for the arc-length weight) times (1 - |z|^2)^(order-1), with the
-    usual 1/(order! (order-1)!) normalization.  ``values_fn`` receives a
-    complex ndarray of interior points and must return h at those points.
+    Computes, for each part of the circle measure, the disc integral of
+    |h|^2 times the local weight of the given order: the part's Poisson
+    integral (the Poisson kernel of an atom, or 1 for arc length) times
+    (1 - |z|^2)^(order-1), with the usual 1/(order! (order-1)!)
+    normalization.  ``measure`` defaults to unit arc length.
+    ``values_fn`` receives a complex ndarray of interior points and must
+    return h at those points.
+
+    Returns one (value, error estimate) pair per part, each multiplied by
+    the part's mass: the arc-length part first if it has mass, then the
+    atoms in measure order.  Their sum is the integral against the whole
+    measure.  Each of the two grids is sampled once for all parts; every
+    atom then costs one contraction of the smoothed Fourier coefficients.
 
     Exact for h of polynomial degree at most min((angular - 1) / 2, radial);
     the reported error estimate compares against a half-resolution grid.
     """
     if order < 1:
         raise ValueError("weight order must be a positive integer")
-    value = _poisson_energy_on_grid(
-        values_fn, order, spec.radial, spec.angular, atom_angle
+    measure = CircleMeasure.arc_length() if measure is None else measure
+    masses = [measure.lebesgue] if measure.lebesgue > 0 else []
+    masses += [atom.mass for atom in measure.atoms]
+    fine = _poisson_energies_on_grid(
+        values_fn, order, spec.radial, spec.angular, measure
     )
-    coarse = _poisson_energy_on_grid(
-        values_fn,
-        order,
-        max(spec.radial // 2, 4),
-        max(spec.angular // 2, 8),
-        atom_angle,
+    coarse = _poisson_energies_on_grid(
+        values_fn, order, max(spec.radial // 2, 4), max(spec.angular // 2, 8), measure
     )
-    return value, abs(value - coarse)
+    return [
+        (mass * value, mass * abs(value - half))
+        for mass, value, half in zip(masses, fine, coarse)
+    ]

@@ -48,6 +48,12 @@ from .quadrature import QuadratureSpec, poisson_weighted_energy
 
 #: Suites that integrate by quadrature and so take a ``spec``.
 _QUADRATURE_SUITES = ("douglas", "tmap", "szego")
+#: Highest degree of the random polynomials, of the monomials checked by
+#: ``monomial`` and of the Szego truncations; no order above its degree
+#: has a nonzero derivative to check.
+_DRAW_DEGREE = 12
+_MONOMIAL_DEGREE = 15
+_SZEGO_DEGREE = 60
 
 
 @dataclass(frozen=True)
@@ -138,7 +144,7 @@ class _Recorder:
 
 
 def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
-           lowest_order: int = 1):
+           lowest_order: int = 1, highest_order: int | None = None):
     """Turn a suite body into a runner with the shared keyword interface.
 
     The runner takes ``trials``, ``seed``, ``spec``, ``orders`` and
@@ -147,10 +153,13 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
     raises ``ValueError`` for a negative trial count, for orders or a spec
     the suite does not read (it reads orders when it has default orders,
     and a spec when it is one of the quadrature suites), and for an order
-    below ``lowest_order``.  The body receives a :class:`_Recorder`, the
-    (index, generator) pair of each trial with the generator seeded by
-    (seed, index), and the orders and spec it reads as keywords.  The
-    runner times the body and returns its :class:`VerificationReport`.
+    below ``lowest_order`` or above ``highest_order``.  That is the highest
+    order at which the suite's functions can have a nonzero derivative, so
+    a check above it holds trivially; ``None`` means no order is trivial.
+    The body receives a :class:`_Recorder`, the (index, generator) pair of
+    each trial with the generator seeded by (seed, index), and the orders
+    and spec it reads as keywords.  The runner times the body and returns
+    its :class:`VerificationReport`.
     """
     default_trials, default_tolerance, default_orders = trials, tolerance, orders
 
@@ -169,6 +178,11 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
                 raise ValueError(f"{name}: this suite takes no orders")
             if orders is not None and min(orders, default=-1) < lowest_order:
                 raise ValueError(f"{name}: need orders, each >= {lowest_order}")
+            if orders and highest_order is not None and max(orders) > highest_order:
+                raise ValueError(
+                    f"{name}: order {max(orders)} is above {highest_order}, "
+                    "the highest order its functions reach"
+                )
             if spec is not None and not quadrature:
                 raise ValueError(f"{name}: this suite takes no quadrature spec")
             start = time.perf_counter()
@@ -197,7 +211,7 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
 
 def _random_polynomial(
     rng: np.random.Generator,
-    max_degree: int = 12,
+    max_degree: int = _DRAW_DEGREE,
     min_degree: int = 0,
     zero_below: int = 0,
 ) -> AnalyticFunction:
@@ -246,7 +260,7 @@ def _random_measure(rng: np.random.Generator) -> CircleMeasure:
     return CircleMeasure(atomic.atoms, float(rng.uniform(0.2, 2.0)))
 
 
-@_suite(trials=50, tolerance=1e-12, orders=[1, 2, 3, 4])
+@_suite(trials=50, tolerance=1e-12, orders=[1, 2, 3, 4], highest_order=_MONOMIAL_DEGREE)
 def run_monomial(rec: _Recorder, draws, orders) -> None:
     """Local integral of z^k at any atom equals binom(k, n).
 
@@ -259,7 +273,7 @@ def run_monomial(rec: _Recorder, draws, orders) -> None:
         angle = _random_angle(rng)
         measure = CircleMeasure.point_mass(angle)
         for n in orders:
-            for k in range(16):
+            for k in range(_MONOMIAL_DEGREE + 1):
                 record = {"trial": i, "k": k, "n": n, "atom_angle": angle}
                 zk = AnalyticFunction.monomial(k)
                 value = dirichlet_weighted(zk, measure, n).value
@@ -268,7 +282,7 @@ def run_monomial(rec: _Recorder, draws, orders) -> None:
                 rec.equality({**record, "check": "sigma-agrees"}, value, sigma)
 
 
-@_suite(trials=200, tolerance=1e-6, orders=[1, 2, 3, 4])
+@_suite(trials=200, tolerance=1e-6, orders=[1, 2, 3, 4], highest_order=_DRAW_DEGREE)
 def run_douglas(rec: _Recorder, draws, orders, spec) -> None:
     """Quadrature route of the local integral against the quotient series.
 
@@ -286,7 +300,7 @@ def run_douglas(rec: _Recorder, draws, orders, spec) -> None:
         rec.equality(record, certificate.lhs, certificate.rhs, loose)
 
 
-@_suite(trials=100, tolerance=1e-6, orders=[1, 2, 3, 4])
+@_suite(trials=100, tolerance=1e-6, orders=[1, 2, 3, 4], highest_order=_DRAW_DEGREE + 1)
 def run_tmap(rec: _Recorder, draws, orders, spec) -> None:
     """Isometry of f -> ((z - lam) f)^(n) into the local Bergman space.
 
@@ -299,8 +313,8 @@ def run_tmap(rec: _Recorder, draws, orders, spec) -> None:
         f = _random_polynomial(rng, zero_below=n - 1)
         angle = _random_angle(rng)
         lifted = bergman_lift(f, np.exp(1j * angle), n)
-        lhs, _ = poisson_weighted_energy(
-            lambda z: evaluate(lifted, z), n, spec, atom_angle=angle
+        [(lhs, _)] = poisson_weighted_energy(
+            lambda z: evaluate(lifted, z), n, spec, CircleMeasure.point_mass(angle)
         )
         rhs = dirichlet_sigma(f, n - 1).value
         record = {"trial": i, "n": n, "degree": f.degree, "atom_angle": angle}
@@ -346,7 +360,7 @@ def run_kernel(rec: _Recorder, draws, orders) -> None:
         rec.equality(record, abs(paired - direct), 0.0)
 
 
-@_suite(trials=500, tolerance=1e-9, orders=[2, 3])
+@_suite(trials=500, tolerance=1e-9, orders=[2, 3], highest_order=_DRAW_DEGREE)
 def run_dilation(rec: _Recorder, draws, orders) -> None:
     """Dilation bound: energy of f(rz) against the contraction factor.
 
@@ -370,7 +384,8 @@ def run_dilation(rec: _Recorder, draws, orders) -> None:
                         factor <= 1.0 + 1e-12, factor, 1.0)
 
 
-@_suite(trials=500, tolerance=1e-9, orders=[0, 1, 2, 3], lowest_order=0)
+@_suite(trials=500, tolerance=1e-9, orders=[0, 1, 2, 3], lowest_order=0,
+        highest_order=_DRAW_DEGREE)
 def run_shiftineq(rec: _Recorder, draws, orders) -> None:
     """Seminorm comparison of (z - lam) f against (z - r lam) f.
 
@@ -392,7 +407,7 @@ def run_shiftineq(rec: _Recorder, draws, orders) -> None:
         rec.upper_bound(record, lhs, rhs)
 
 
-@_suite(trials=200, tolerance=1e-9, orders=[1, 2, 3, 4])
+@_suite(trials=200, tolerance=1e-9, orders=[1, 2, 3, 4], highest_order=_DRAW_DEGREE)
 def run_multiplier(rec: _Recorder, draws, orders) -> None:
     """Multiplier inequalities with a certified multiplier-norm upper bound.
 
@@ -463,7 +478,7 @@ def run_atomic(rec: _Recorder, draws) -> None:
                     degree <= count - 1, float(degree), float(count - 1))
 
 
-@_suite(trials=1, tolerance=1e-4, orders=[1, 2, 3])
+@_suite(trials=1, tolerance=1e-4, orders=[1, 2, 3], highest_order=_SZEGO_DEGREE)
 def run_szego(rec: _Recorder, draws, orders, spec) -> None:
     """Closed-form Szego kernel energies against quadrature and series.
 
@@ -484,7 +499,7 @@ def run_szego(rec: _Recorder, draws, orders, spec) -> None:
         for n in orders:
             for w in points:
                 closed = szego_kernel_energy(w, measure, n)
-                truncation = szego_kernel_truncation(w, 60)
+                truncation = szego_kernel_truncation(w, _SZEGO_DEGREE)
                 quad = dirichlet_weighted(
                     truncation, measure, n, spec, force_quadrature=True
                 ).value

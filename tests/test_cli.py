@@ -244,3 +244,53 @@ def test_eval_forced_quadrature_at_high_order(square_file, atom_file, capsys):
     )
     assert code == 0
     assert json.loads(capsys.readouterr().out)["value"] == 0.0
+
+
+@pytest.mark.parametrize(
+    "measure",
+    [
+        '{"atoms": [{"angle": 0.0, "mass": NaN}], "lebesgue": 0.0}',
+        '{"atoms": [], "lebesgue": NaN}',
+        '{"atoms": [{"angle": Infinity, "mass": 1.0}], "lebesgue": 0.0}',
+    ],
+)
+def test_eval_non_finite_measure_exits_two(measure, square_file, tmp_path, capsys):
+    path = tmp_path / "measure.json"
+    path.write_text(measure)
+    code = main(["eval", "--function", square_file, "--measure", str(path), "--n", "1"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_verify_kernel_overflow_exits_two(capsys):
+    # (n+1)! (n-1)! no longer converts to a float at n = 100
+    assert main(["verify", "kernel", "--n", "100", "--trials", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "suite, order, highest",
+    [("tmap", 20, 13), ("shiftineq", 20, 12), ("douglas", 150, 12)],
+)
+def test_verify_rejects_orders_beyond_the_drawn_degree(suite, order, highest, capsys):
+    assert main(["verify", suite, "--n", str(order), "--trials", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert f"order {order} is above {highest}" in err
+
+
+def test_eval_overflowing_result_exits_two(tmp_path, capsys):
+    # 1e308 * binom(1, 1) |1e100|^2 overflows to inf, which JSON cannot hold
+    function = tmp_path / "f.json"
+    function.write_text(json.dumps({"coeffs": [[0, 0], [1e100, 0]], "exact": True}))
+    measure = tmp_path / "m.json"
+    measure.write_text(json.dumps({"atoms": [], "lebesgue": 1e308}))
+    argv = ["eval", "--function", str(function), "--measure", str(measure), "--n", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: result is not finite")

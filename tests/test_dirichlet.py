@@ -31,6 +31,7 @@ from dirikit import (
     multiplier_seminorm_estimate,
     multiplier_seminorm_upper,
     multiply,
+    poisson_weighted_energy,
     szego_kernel_energy,
     szego_kernel_truncation,
     szego_potential,
@@ -513,3 +514,80 @@ def test_quadrature_route_at_order_99():
     forced = dirichlet_weighted(f, atom, 99, force_quadrature=True)
     assert forced.value == 0.0
     assert forced.value == dirichlet_weighted(f, atom, 99).value
+
+
+def _eight_atoms_plus_arc(rng):
+    atoms = tuple(
+        Atom(2.0 * math.pi * (i + 0.8 * rng.uniform()) / 8, rng.uniform(0.2, 2.0))
+        for i in range(8)
+    )
+    return CircleMeasure(atoms, 0.7)
+
+
+def test_quadrature_integral_adds_the_one_part_energies_in_order():
+    # the whole measure is sampled once, yet value and estimate are the
+    # same floats as the mass-weighted one-part energies added in order
+    rng = np.random.default_rng(5)
+    f = AnalyticFunction(tuple(rng.uniform(-1, 1, 17) + 1j * rng.uniform(-1, 1, 17)))
+    measure = _eight_atoms_plus_arc(rng)
+    spec = QuadratureSpec()
+    for n in (1, 3):
+        df = derivative(f, n)
+        total = error = 0.0
+        [(value, est)] = poisson_weighted_energy(lambda z: evaluate(df, z), n, spec)
+        total += measure.lebesgue * value
+        error += measure.lebesgue * est
+        for atom in measure.atoms:
+            [(value, est)] = poisson_weighted_energy(
+                lambda z: evaluate(df, z), n, spec,
+                CircleMeasure.point_mass(atom.angle),
+            )
+            total += atom.mass * value
+            error += atom.mass * est
+        result = dirichlet_weighted(f, measure, n, spec, force_quadrature=True)
+        assert result.method == "quadrature"
+        assert result.value.hex() == total.hex()
+        assert result.error_estimate.hex() == error.hex()
+        # a truncation sums its arc-length part as a series, first
+        truncated = AnalyticFunction(f.coeffs, False)
+        total = measure.lebesgue * dirichlet_sigma(f, n).value
+        for atom in measure.atoms:
+            [(value, _)] = poisson_weighted_energy(
+                lambda z: evaluate(df, z), n, spec,
+                CircleMeasure.point_mass(atom.angle),
+            )
+            total += atom.mass * value
+        result = dirichlet_weighted(truncated, measure, n, spec)
+        assert result.value.hex() == total.hex()
+
+
+def test_quadrature_integral_samples_each_grid_once(monkeypatch):
+    import dirikit.dirichlet
+
+    shapes = []
+
+    def counting(f, z):
+        shapes.append(np.shape(z))
+        return evaluate(f, z)
+
+    monkeypatch.setattr(dirikit.dirichlet, "evaluate", counting)
+    f = AnalyticFunction(tuple(range(1, 18)))
+    measure = _eight_atoms_plus_arc(np.random.default_rng(6))
+    dirichlet_weighted(f, measure, 2, QuadratureSpec(), force_quadrature=True)
+    assert shapes == [(96, 256), (48, 128)]
+    shapes.clear()
+    dirichlet_weighted(AnalyticFunction(f.coeffs, False), measure, 2, QuadratureSpec())
+    assert shapes == [(96, 256), (48, 128)]
+
+
+def test_quadrature_spec_from_environment_matches_explicit(monkeypatch):
+    # a grid too coarse for degree 12 aliases, so the override shows
+    f = AnalyticFunction(tuple(1.0 + 0.5j * k for k in range(13)))
+    measure = CircleMeasure((Atom(0.3, 1.2), Atom(4.0, 0.6)), 0.4)
+    spec = QuadratureSpec(8, 16, 0.0, 0)
+    explicit = dirichlet_weighted(f, measure, 2, spec, force_quadrature=True)
+    monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "8,16,0,0")
+    chosen = dirichlet_weighted(f, measure, 2, force_quadrature=True)
+    assert chosen == explicit
+    fine = dirichlet_weighted(f, measure, 2, QuadratureSpec(), force_quadrature=True)
+    assert abs(chosen.value - fine.value) > 1e-3 * fine.value

@@ -122,3 +122,15 @@ def test_tuple_json_round_trip():
 def test_tuple_requires_entry():
     with pytest.raises(ValueError):
         MeasureTuple(())
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rejects_non_finite_parts(bad):
+    with pytest.raises(ValueError):
+        Atom(bad, 1.0)
+    with pytest.raises(ValueError):
+        Atom(0.0, bad)
+    with pytest.raises(ValueError):
+        CircleMeasure((), bad)
+    with pytest.raises(ValueError):
+        CircleMeasure.from_json({"atoms": [{"angle": 0.0, "mass": bad}]})

@@ -7,12 +7,14 @@ import numpy as np
 import pytest
 
 from dirikit import (
+    Atom,
+    CircleMeasure,
     QuadratureSpec,
     SingularIntegrandError,
     integrate_disc,
     poisson_weighted_energy,
 )
-from dirikit.quadrature import _extrapolation_weights
+from dirikit.quadrature import _extrapolation_weights, _poisson_grid
 
 
 def test_spec_validation():
@@ -141,7 +143,9 @@ def test_poisson_weighted_energy_against_series():
             return scale * z ** (k - n)
 
         for angle in [0.0, 2.0, 4.4]:
-            value, estimate = poisson_weighted_energy(h, n, spec, atom_angle=angle)
+            [(value, estimate)] = poisson_weighted_energy(
+                h, n, spec, measure=CircleMeasure.point_mass(angle)
+            )
             assert value == pytest.approx(math.comb(k, n), rel=1e-12)
             assert estimate <= 1e-10
 
@@ -149,7 +153,7 @@ def test_poisson_weighted_energy_against_series():
 def test_poisson_weighted_energy_sigma_route():
     # h = (z^3)'' = 6z against the order-2 arc-length weight; oracle is
     # the coefficient series value binom(3, 2) = 3
-    value, _ = poisson_weighted_energy(lambda z: 6.0 * z, 2, QuadratureSpec())
+    [(value, _)] = poisson_weighted_energy(lambda z: 6.0 * z, 2, QuadratureSpec())
     assert value == pytest.approx(3.0, rel=1e-12)
 
 
@@ -163,6 +167,41 @@ def test_quadrature_determinism():
     first = integrate_disc(lambda z: np.abs(z) ** 4 + np.real(z), spec)
     second = integrate_disc(lambda z: np.abs(z) ** 4 + np.real(z), spec)
     assert first == second
-    a = poisson_weighted_energy(lambda z: z**2, 2, spec, atom_angle=1.0)
-    b = poisson_weighted_energy(lambda z: z**2, 2, spec, atom_angle=1.0)
+    atom = CircleMeasure.point_mass(1.0)
+    a = poisson_weighted_energy(lambda z: z**2, 2, spec, measure=atom)
+    b = poisson_weighted_energy(lambda z: z**2, 2, spec, measure=atom)
     assert a == b
+
+
+def test_poisson_weighted_energy_parts_in_measure_order():
+    # one pair per part, each times its mass: arc length, then the atoms
+    # sorted by angle; the zero measure has no parts
+    spec = QuadratureSpec(32, 64)
+
+    def h(z):
+        return 3.0 * z**2 + 1.0
+
+    measure = CircleMeasure(
+        (Atom(2.0, 0.5), Atom(-1.0, 3.0), Atom(0.25, 1.5)), 0.75
+    )
+    parts = poisson_weighted_energy(h, 2, spec, measure)
+    singles = [poisson_weighted_energy(h, 2, spec)[0]] + [
+        poisson_weighted_energy(h, 2, spec, CircleMeasure.point_mass(a.angle))[0]
+        for a in measure.atoms
+    ]
+    masses = [measure.lebesgue] + [a.mass for a in measure.atoms]
+    assert [a.mass for a in measure.atoms] == [1.5, 0.5, 3.0]
+    assert parts == [(m * v, m * e) for m, (v, e) in zip(masses, singles)]
+    assert poisson_weighted_energy(h, 2, spec, CircleMeasure.zero()) == []
+
+
+def test_poisson_grid_constants_are_cached_and_read_only():
+    grid = _poisson_grid(48, 128)
+    assert _poisson_grid(48, 128) is grid
+    r, wr, z, freqs, kernel = grid
+    assert z.shape == kernel.shape == (48, 128)
+    assert r.shape == wr.shape == (48,) and freqs.shape == (128,)
+    for array in grid:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0

@@ -12,9 +12,11 @@ from dirikit.suites import (
     run_isometry,
     run_all,
     run_kernel,
+    run_monomial,
     run_shiftineq,
     run_suite,
     run_szego,
+    run_tmap,
 )
 
 
@@ -54,6 +56,11 @@ def test_dilation_factor_sweep_stays_out_of_max_residual():
         (run_douglas, {"orders": []}),
         (run_shiftineq, {"orders": [-1]}),
         (run_douglas, {"trials": -1}),
+        (run_douglas, {"orders": [13]}),
+        (run_tmap, {"orders": [1, 14]}),
+        (run_shiftineq, {"orders": [13]}),
+        (run_monomial, {"orders": [16]}),
+        (run_szego, {"orders": [61]}),
     ],
 )
 def test_driver_rejects_before_the_first_trial(runner, kwargs, monkeypatch):
@@ -63,6 +70,12 @@ def test_driver_rejects_before_the_first_trial(runner, kwargs, monkeypatch):
     monkeypatch.setattr(np.random, "default_rng", no_trial)
     with pytest.raises(ValueError):
         runner(**{"trials": 5, **kwargs})
+
+
+def test_orders_up_to_the_highest_are_run():
+    assert run_tmap(trials=3, orders=[13]).passed
+    assert run_shiftineq(trials=3, orders=[12]).passed
+    assert run_douglas(trials=3, orders=[12]).passed
 
 
 def test_shiftineq_accepts_order_zero():
