@@ -64,9 +64,10 @@ def _load_measure_tuple(path: str) -> MeasureTuple:
         raise InputError(f"malformed measure tuple file {path}: {exc}") from exc
 
 
-def _parse_spec(text: str | None) -> QuadratureSpec:
+def _parse_spec(text: str | None) -> QuadratureSpec | None:
+    # no --quad: the library picks the grid, and the JSON reports it
     if text is None:
-        return QuadratureSpec.default()
+        return None
     try:
         return QuadratureSpec.from_csv(text)
     except ValueError as exc:
@@ -171,7 +172,7 @@ def _cmd_defects(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    spec = None if args.quad is None else _parse_spec(args.quad)
+    spec = _parse_spec(args.quad)
     if args.suite == "all" and args.n is not None:
         raise InputError("--n applies to a single suite, not 'all'")
     try:

@@ -43,20 +43,28 @@ class BoundaryDivergenceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class DirichletResult:
-    """Value of a weighted Dirichlet-type integral with provenance."""
+    """Value of a weighted Dirichlet-type integral with provenance.
+
+    ``spec`` is the grid of the quadrature route, ``None`` when no part
+    was integrated numerically.
+    """
 
     value: float
     method: str  # "series" | "decomposition" | "quadrature"
     error_estimate: float
     order: int
+    spec: QuadratureSpec | None = None
 
     def to_json(self) -> dict:
-        return {
+        payload = {
             "value": self.value,
             "method": self.method,
             "error": self.error_estimate,
             "order": self.order,
         }
+        if self.spec is not None:
+            payload["quad"] = self.spec.to_json()
+        return payload
 
 
 @dataclass(frozen=True)
@@ -65,7 +73,7 @@ class DouglasCertificate:
 
     ``lhs`` is the quadrature value of the local integral of f, ``rhs``
     the coefficient-series value for the quotient g one order down; the
-    residual is their gap.
+    residual is their gap, and ``spec`` is the grid of the quadrature.
     """
 
     alpha: complex
@@ -75,6 +83,7 @@ class DouglasCertificate:
     residual: float
     order: int
     lhs_error: float
+    spec: QuadratureSpec
 
     def to_json(self) -> dict:
         return {
@@ -87,6 +96,7 @@ class DouglasCertificate:
             "lhs": self.lhs,
             "rhs": self.rhs,
             "residual": self.residual,
+            "quad": self.spec.to_json(),
         }
 
 
@@ -132,6 +142,17 @@ def _atom_decomposition_value(
     return dirichlet_sigma(quotient, order - 1).value
 
 
+def _quadrature_spec(
+    f: AnalyticFunction, order: int, spec: QuadratureSpec | None
+) -> QuadratureSpec:
+    # a given spec wins; else the smallest exact grid for a polynomial
+    if spec is not None:
+        return spec
+    if f.exact:
+        return QuadratureSpec.for_polynomial(f.degree, order)
+    return QuadratureSpec.default()
+
+
 def dirichlet_weighted(
     f: AnalyticFunction,
     measure: CircleMeasure,
@@ -146,13 +167,15 @@ def dirichlet_weighted(
     decomposition route per atom and the coefficient series for the
     arc-length part.  Truncations integrate their atoms numerically, and
     ``force_quadrature`` integrates every part numerically; the numerical
-    parts come from one ``poisson_weighted_energy`` call.
+    parts come from one ``poisson_weighted_energy`` call, on ``spec`` if
+    given, else on the smallest exact grid for an exact polynomial
+    (:meth:`QuadratureSpec.for_polynomial`) and on
+    :meth:`QuadratureSpec.default` for a truncation.
     """
     if order < 1:
         raise ValueError(
             "order must be positive; use dirichlet_atomic_order_zero for order 0"
         )
-    spec = spec or QuadratureSpec.default()
     total = 0.0
     error = 0.0
     method = "series"
@@ -162,13 +185,14 @@ def dirichlet_weighted(
         # the parts left to quadrature share one sampling of f^(n)
         sampled = measure if force_quadrature else CircleMeasure(measure.atoms)
         if sampled.total_mass > 0:
+            spec = _quadrature_spec(f, order, spec)
             df = derivative(f, order)
             for value, est in poisson_weighted_energy(
                 lambda z: evaluate(df, z), order, spec, sampled
             ):
                 total += value
                 error += est
-            method = "quadrature"
+            return DirichletResult(total, "quadrature", error, order, spec)
     elif measure.atoms:
         for atom in measure.atoms:
             total += atom.mass * _atom_decomposition_value(f, atom.point, order)
@@ -208,11 +232,12 @@ def douglas_decompose(
 
     alpha is the boundary value at lam, g the synthetic quotient; the
     certificate carries the quadrature value of the local integral of f
-    (lhs) next to the coefficient series of g one order down (rhs).
+    (lhs) next to the coefficient series of g one order down (rhs).  The
+    grid is chosen as in :func:`dirichlet_weighted`.
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
-    spec = spec or QuadratureSpec.default()
+    spec = _quadrature_spec(f, order, spec)
     lam = complex(boundary_point)
     alpha, status = boundary_value(f, lam)
     if status is BoundaryStatus.DIVERGENT:
@@ -234,6 +259,7 @@ def douglas_decompose(
         residual=abs(lhs - rhs),
         order=order,
         lhs_error=lhs_error,
+        spec=spec,
     )
 
 

@@ -105,6 +105,29 @@ class QuadratureSpec:
             return cls.from_csv(override)
         return cls()
 
+    @classmethod
+    def for_polynomial(cls, degree: int, order: int) -> QuadratureSpec:
+        """Smallest grid on which the order-``order`` energy of a polynomial
+        of degree ``degree`` is exact, and so is its half grid.
+
+        By the bound in :func:`poisson_weighted_energy` the half grid needs
+        ``radial // 2 >= degree`` and ``angular // 2 >= 2 (degree - order)
+        + 1``, with its floors of 4 and 8; a vanishing ``f^(order)`` needs
+        nothing beyond the floors.  Clip and levels are the defaults.  An
+        environment override wins, as in :meth:`default`, and where the
+        exact grid would exceed the package default in either dimension,
+        the default is kept.
+        """
+        if os.environ.get(QUAD_DEFAULT_ENV):
+            return cls.default()
+        spread = degree - order  # the degree of f^(order)
+        radial = 2 * max(degree if spread >= 0 else 0, 4)
+        angular = 2 * max(2 * spread + 1, 8)
+        default = cls()
+        if radial > default.radial or angular > default.angular:
+            return default
+        return cls(radial, angular)
+
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -206,7 +229,10 @@ def integrate_disc(integrand, spec: QuadratureSpec) -> tuple[complex, float]:
     return value, estimate
 
 
-@lru_cache(maxsize=16)
+#: Holds every grid, half grids included, that ``for_polynomial`` picks for
+#: degrees 0-20 at orders 1-4 (126 shapes with the default pair), and so
+#: every grid of ``verify all``; full, it holds at most about 70 MB.
+@lru_cache(maxsize=256)
 def _poisson_grid(radial: int, angular: int) -> tuple[np.ndarray, ...]:
     """Read-only radii r, radial weights, nodes z, FFT frequencies d and
     Poisson kernel coefficients r^|d| (one row per radius) of one grid."""
@@ -269,8 +295,20 @@ def poisson_weighted_energy(
     measure.  Each of the two grids is sampled once for all parts; every
     atom then costs one contraction of the smoothed Fourier coefficients.
 
-    Exact for h of polynomial degree at most min((angular - 1) / 2, radial);
-    the reported error estimate compares against a half-resolution grid.
+    The rule is exact for a polynomial h of degree D on a grid with
+    ``angular >= 2 D + 1`` and ``radial >= D + order``.  Angularly, |h|^2
+    has frequencies |d| <= D, and the trapezoid with ``angular`` nodes
+    aliases none of them onto another.  Radially, the frequency-d term
+    a_j conj(a_k) r^(j+k) (with j - k = d) meets the kernel's r^|d|, so
+    the profile has degree 2 max(j, k) <= 2 D; with the weight
+    (1 - r^2)^(order-1) and the Jacobian r the integrand has degree
+    2 D + 2 order - 1, and Gauss-Legendre with N nodes is exact up to
+    degree 2 N - 1.  For h = f^(n) that is ``radial >= deg f``.  The
+    reported error estimate compares against the half grid
+    ``(max(radial // 2, 4), max(angular // 2, 8))``.  When both grids
+    are exact it is roundoff; when only the fine grid is, it is the half
+    grid's error and overstates the fine one's; when neither is, it may
+    understate the error.
     """
     if order < 1:
         raise ValueError("weight order must be a positive integer")

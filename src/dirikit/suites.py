@@ -56,6 +56,11 @@ _MONOMIAL_DEGREE = 15
 _SZEGO_DEGREE = 60
 
 
+def _json_number(value: float) -> float | str:
+    # JSON has no NaN or infinity: name them, so a report still serializes
+    return value if math.isfinite(value) else repr(value)
+
+
 @dataclass(frozen=True)
 class Failure:
     """One failed check: the input that produced it and the numbers."""
@@ -68,9 +73,9 @@ class Failure:
     def to_json(self) -> dict:
         return {
             "record": self.record,
-            "observed": self.observed,
-            "expected": self.expected,
-            "gap": self.gap,
+            "observed": _json_number(self.observed),
+            "expected": _json_number(self.expected),
+            "gap": _json_number(self.gap),
         }
 
 
@@ -100,9 +105,13 @@ class VerificationReport:
             "trials": self.trials,
             "seed": self.seed,
             "passed": self.passed,
-            "max_residual": self.max_residual,
+            "max_residual": _json_number(self.max_residual),
             "failures": [f.to_json() for f in self.failures],
         }
+
+
+def _relative_gap(observed: complex, expected: complex) -> float:
+    return abs(observed - expected) / max(1.0, abs(expected))
 
 
 class _Recorder:
@@ -112,7 +121,9 @@ class _Recorder:
     the suite tolerance, overridden or not, leaves alone.  ``overridden``
     says whether the caller chose the suite tolerance.  A yes/no check
     (:meth:`require`) has no residual: it records a failure of gap 1 and
-    leaves ``max_residual`` alone.
+    leaves ``max_residual`` alone.  A residual that is not finite, say
+    from a NaN on the computed side, counts as infinite: it fails every
+    tolerance and makes ``max_residual`` infinite.
     """
 
     def __init__(self, tolerance: float, overridden: bool):
@@ -123,8 +134,8 @@ class _Recorder:
 
     def equality(self, record: dict, observed: float, expected: float,
                  tolerance: float | None = None) -> None:
-        residual = abs(observed - expected) / max(1.0, abs(expected))
-        self._note(record, observed, expected, residual, tolerance)
+        self._note(record, observed, expected,
+                   _relative_gap(observed, expected), tolerance)
 
     def upper_bound(self, record: dict, observed: float, bound: float,
                     tolerance: float | None = None) -> None:
@@ -138,6 +149,8 @@ class _Recorder:
 
     def _note(self, record: dict, observed: float, expected: float,
               residual: float, tolerance: float | None) -> None:
+        if not math.isfinite(residual):  # NaN fails no test and loses every max
+            residual = math.inf
         self.max_residual = max(self.max_residual, residual)
         if residual > (self.tolerance if tolerance is None else tolerance):
             self.failures.append(Failure(record, observed, expected, residual))
@@ -148,8 +161,11 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
     """Turn a suite body into a runner with the shared keyword interface.
 
     The runner takes ``trials``, ``seed``, ``spec``, ``orders`` and
-    ``tolerance``; ``None`` means the defaults given here, and the spec
-    default is :meth:`QuadratureSpec.default`.  Before the first trial it
+    ``tolerance``; ``None`` means the defaults given here.  A ``None``
+    spec reaches the body as it is, and each integral then picks its own
+    grid: the smallest exact one for a polynomial
+    (:meth:`QuadratureSpec.for_polynomial`), the default for a
+    truncation.  Before the first trial it
     raises ``ValueError`` for a negative trial count, for orders or a spec
     the suite does not read (it reads orders when it has default orders,
     and a spec when it is one of the quadrature suites), and for an order
@@ -193,7 +209,7 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
             if default_orders is not None:
                 reads["orders"] = list(orders or default_orders)
             if quadrature:
-                reads["spec"] = spec or QuadratureSpec.default()
+                reads["spec"] = spec
             body(recorder, draws, **reads)
             worst = recorder.max_residual
             return VerificationReport(
@@ -313,8 +329,10 @@ def run_tmap(rec: _Recorder, draws, orders, spec) -> None:
         f = _random_polynomial(rng, zero_below=n - 1)
         angle = _random_angle(rng)
         lifted = bergman_lift(f, np.exp(1j * angle), n)
+        # the lift is the n-th derivative of (z - lam) f, of degree deg f + 1
+        grid = spec or QuadratureSpec.for_polynomial(f.degree + 1, n)
         [(lhs, _)] = poisson_weighted_energy(
-            lambda z: evaluate(lifted, z), n, spec, CircleMeasure.point_mass(angle)
+            lambda z: evaluate(lifted, z), n, grid, CircleMeasure.point_mass(angle)
         )
         rhs = dirichlet_sigma(f, n - 1).value
         record = {"trial": i, "n": n, "degree": f.degree, "atom_angle": angle}
@@ -335,7 +353,8 @@ def run_kernel(rec: _Recorder, draws, orders) -> None:
     A fixed 5x5 point grid compares the rational closed form with the
     200-term orthonormal-basis series; randomized trials then check the
     reproducing property of arc-length kernel sections against direct
-    evaluation.
+    evaluation.  Both are complex, so each check records their distance
+    relative to the expected side, max(1, |closed|) or max(1, |direct|).
     """
     points = _kernel_grid()
     for n in orders:
@@ -345,7 +364,7 @@ def run_kernel(rec: _Recorder, draws, orders) -> None:
                 closed = local_bergman_kernel(z, w, lam, n)
                 series = local_bergman_kernel_series(z, w, lam, n, 200)
                 record = {"check": "kernel", "n": n, "zi": zi, "wi": wi}
-                rec.equality(record, abs(closed - series), 0.0)
+                rec.equality(record, _relative_gap(series, closed), 0.0)
     for i, rng in draws:
         j = int(rng.integers(0, 3))
         cutoff = 15
@@ -357,7 +376,7 @@ def run_kernel(rec: _Recorder, draws, orders) -> None:
             f.coeffs[k] * w**k for k in range(j, min(cutoff, f.degree) + 1)
         )
         record = {"check": "reproducing", "trial": i, "j": j}
-        rec.equality(record, abs(paired - direct), 0.0)
+        rec.equality(record, _relative_gap(paired, direct), 0.0)
 
 
 @_suite(trials=500, tolerance=1e-9, orders=[2, 3], highest_order=_DRAW_DEGREE)

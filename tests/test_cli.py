@@ -294,3 +294,55 @@ def test_eval_overflowing_result_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: result is not finite")
+
+
+def _forced_eval(square_file, atom_file, *extra):
+    argv = ["eval", "--function", square_file, "--measure", atom_file,
+            "--n", "1", "--force-quadrature", *extra]
+    return main(argv)
+
+
+def test_eval_reports_the_chosen_grid(square_file, atom_file, capsys):
+    # z^2 at order 1: radial 2 * max(2, 4), angular 2 * max(2 * 1 + 1, 8)
+    assert _forced_eval(square_file, atom_file) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "quadrature"
+    assert payload["value"] == pytest.approx(2.0, rel=1e-12)
+    assert payload["quad"] == {"radial": 8, "angular": 16, "clip": 0.015625, "levels": 4}
+
+
+def test_eval_reports_the_given_grid(square_file, atom_file, capsys):
+    assert _forced_eval(square_file, atom_file, "--quad", "96,256,0.015625,4") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["quad"] == {"radial": 96, "angular": 256, "clip": 0.015625, "levels": 4}
+
+
+def test_eval_reports_the_environment_grid(square_file, atom_file, capsys, monkeypatch):
+    monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "32,64,0,0")
+    assert _forced_eval(square_file, atom_file) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["quad"] == {"radial": 32, "angular": 64, "clip": 0.0, "levels": 0}
+
+
+def test_exact_route_json_has_no_grid(square_file, atom_file, capsys):
+    assert main(["eval", "--function", square_file, "--measure", atom_file, "--n", "1"]) == 0
+    assert "quad" not in json.loads(capsys.readouterr().out)
+
+
+def test_decompose_reports_its_grid(square_file, capsys, monkeypatch):
+    assert main(["decompose", "--function", square_file, "--atom", "0.0", "--n", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["quad"]["radial"] == 8
+    argv = ["decompose", "--function", square_file, "--atom", "0.0", "--n", "2",
+            "--quad", "96,256,0.015625,4"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["quad"]["angular"] == 256
+    monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "32,64,0,0")
+    assert main(argv[:-2]) == 0
+    assert json.loads(capsys.readouterr().out)["quad"]["angular"] == 64
+
+
+def test_verify_kernel_checks_relative_to_the_kernel_size(capsys):
+    # at order 20 the kernel lies between 4e34 and 2e43 on the point grid,
+    # so an absolute gap of 1e-10 would ask for over 45 correct digits
+    assert main(["verify", "kernel", "--n", "20", "--trials", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-10

@@ -591,3 +591,62 @@ def test_quadrature_spec_from_environment_matches_explicit(monkeypatch):
     assert chosen == explicit
     fine = dirichlet_weighted(f, measure, 2, QuadratureSpec(), force_quadrature=True)
     assert abs(chosen.value - fine.value) > 1e-3 * fine.value
+
+
+def test_chosen_grid_matches_the_exact_route_at_roundoff():
+    # no spec: every degree 0-20 at orders 1-4 integrates on its smallest
+    # exact grid, and value and estimate stay at roundoff
+    rng = np.random.default_rng(21)
+    measure = CircleMeasure((Atom(0.7, 1.1), Atom(3.9, 0.4)), 0.8)
+    for degree in range(21):
+        coeffs = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
+        f = AnalyticFunction(tuple(coeffs))
+        for n in range(1, 5):
+            exact = dirichlet_weighted(f, measure, n).value
+            quad = dirichlet_weighted(f, measure, n, force_quadrature=True)
+            assert quad.spec == QuadratureSpec.for_polynomial(degree, n)
+            assert abs(quad.value - exact) <= 1e-12 * exact
+            assert quad.error_estimate <= 1e-10 * exact
+
+
+def test_quadrature_samples_the_chosen_grids(monkeypatch):
+    import dirikit.dirichlet
+
+    shapes = []
+
+    def counting(f, z):
+        shapes.append(np.shape(z))
+        return evaluate(f, z)
+
+    monkeypatch.setattr(dirikit.dirichlet, "evaluate", counting)
+    f = AnalyticFunction(tuple(range(1, 18)))
+    measure = _eight_atoms_plus_arc(np.random.default_rng(6))
+    # degree 16 at order 2: radial 2 * 16, angular 2 * (2 * 14 + 1)
+    result = dirichlet_weighted(f, measure, 2, force_quadrature=True)
+    assert shapes == [(32, 58), (16, 29)]
+    assert result.spec == QuadratureSpec(32, 58)
+    shapes.clear()
+    certificate = douglas_decompose(f, 1j, 2)
+    assert shapes == [(32, 58), (16, 29)]
+    assert certificate.spec == QuadratureSpec(32, 58)
+    # a truncation keeps the default grid
+    shapes.clear()
+    truncated = dirichlet_weighted(AnalyticFunction(f.coeffs, False), measure, 2)
+    assert shapes == [(96, 256), (48, 128)]
+    assert truncated.spec == QuadratureSpec()
+
+
+def test_exact_route_builds_no_quadrature_spec(monkeypatch):
+    # the grid is chosen lazily, on the quadrature branch only
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature spec built on the exact route")
+
+    monkeypatch.setattr(QuadratureSpec, "default", refuse)
+    monkeypatch.setattr(QuadratureSpec, "for_polynomial", refuse)
+    f = AnalyticFunction((0.5, 1.0, -2.0j, 0.25))
+    measure = CircleMeasure((Atom(1.0, 2.0),), 0.5)
+    result = dirichlet_weighted(f, measure, 2)
+    assert result.method == "decomposition" and result.spec is None
+    assert "quad" not in result.to_json()
+    truncated = AnalyticFunction(f.coeffs, False)
+    assert dirichlet_weighted(truncated, CircleMeasure.arc_length(), 2).spec is None

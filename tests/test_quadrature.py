@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from dirikit import (
+    AnalyticFunction,
     Atom,
     CircleMeasure,
     QuadratureSpec,
     SingularIntegrandError,
+    dirichlet_weighted,
     integrate_disc,
     poisson_weighted_energy,
 )
@@ -205,3 +207,93 @@ def test_poisson_grid_constants_are_cached_and_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def _half_grid(spec):
+    return max(spec.radial // 2, 4), max(spec.angular // 2, 8)
+
+
+def test_polynomial_grid_and_its_half_grid_are_exact():
+    # the bound of poisson_weighted_energy: radial >= deg f and angular >=
+    # 2 deg f^(n) + 1; the full grid doubles the half grid, so both hold
+    for degree in range(21):
+        for order in range(1, 5):
+            spec = QuadratureSpec.for_polynomial(degree, order)
+            radial, angular = _half_grid(spec)
+            assert radial >= degree
+            assert angular >= 2 * (degree - order) + 1
+            assert spec.radial <= 96 and spec.angular <= 256
+            assert (spec.clip, spec.levels) == (QuadratureSpec.clip, QuadratureSpec.levels)
+
+
+def test_polynomial_grid_is_the_smallest_with_an_exact_half_grid():
+    assert QuadratureSpec.for_polynomial(16, 1) == QuadratureSpec(32, 62)
+    assert QuadratureSpec.for_polynomial(16, 4) == QuadratureSpec(32, 50)
+    assert QuadratureSpec.for_polynomial(12, 4) == QuadratureSpec(24, 34)
+    # f^(n) = 0 needs nothing beyond the half grid's floors
+    assert QuadratureSpec.for_polynomial(2, 200) == QuadratureSpec(8, 16)
+    assert QuadratureSpec.for_polynomial(0, 1) == QuadratureSpec(8, 16)
+
+
+def test_polynomial_grid_never_exceeds_the_default():
+    # from degree 49 on the radial rule would need more than 96 nodes
+    assert QuadratureSpec.for_polynomial(48, 1) == QuadratureSpec(96, 190)
+    assert QuadratureSpec.for_polynomial(49, 48) == QuadratureSpec()
+    assert QuadratureSpec.for_polynomial(60, 1) == QuadratureSpec()
+
+
+def test_polynomial_grid_yields_to_the_environment(monkeypatch):
+    monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "96,256,0.015625,4")
+    assert QuadratureSpec.for_polynomial(3, 1) == QuadratureSpec()
+    monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "32,64,0,0")
+    assert QuadratureSpec.for_polynomial(3, 1) == QuadratureSpec(32, 64, 0.0, 0)
+
+
+def test_poisson_grid_cache_holds_every_chosen_shape():
+    shapes = {(96, 256), (48, 128)}
+    for degree in range(21):
+        for order in range(1, 5):
+            spec = QuadratureSpec.for_polynomial(degree, order)
+            shapes |= {(spec.radial, spec.angular), _half_grid(spec)}
+    assert len(shapes) <= _poisson_grid.cache_info().maxsize
+
+
+def _energy_of_derivative(coeffs, order, spec, measure):
+    # h = f^(n) of f = sum_k c_k z^k, sampled directly
+    def h(z):
+        return sum(
+            c * math.perm(k, order) * z ** (k - order)
+            for k, c in enumerate(coeffs)
+            if k >= order
+        )
+
+    [(value, estimate)] = poisson_weighted_energy(h, order, spec, measure)
+    return value, estimate
+
+
+def test_radial_nodes_must_reach_the_degree_of_f():
+    # deg f = 12 at order 4: Gauss-Legendre needs 12 radial nodes, not
+    # deg f^(4) = 8; the exact value is the decomposition series
+    rng = np.random.default_rng(11)
+    coeffs = rng.uniform(-1, 1, 13) + 1j * rng.uniform(-1, 1, 13)
+    atom = CircleMeasure.point_mass(1.3)
+    exact = dirichlet_weighted(AnalyticFunction(tuple(coeffs)), atom, 4).value
+    short, _ = _energy_of_derivative(coeffs, 4, QuadratureSpec(10, 64, 0.0, 0), atom)
+    enough, _ = _energy_of_derivative(coeffs, 4, QuadratureSpec(12, 64, 0.0, 0), atom)
+    assert abs(short - exact) > 1e-10 * exact
+    assert abs(enough - exact) <= 1e-10 * exact
+
+
+def test_error_estimate_covers_real_grid_error():
+    # degree 12 at order 1 on 32 x 32: the grid is exact, its 16 x 16 half
+    # grid is not (angular 16 < 2 * 11 + 1), so the estimate measures a real
+    # quadrature error, and it must not understate the value's error
+    rng = np.random.default_rng(12)
+    coeffs = rng.uniform(-1, 1, 13) + 1j * rng.uniform(-1, 1, 13)
+    atom = CircleMeasure.point_mass(0.4)
+    exact = dirichlet_weighted(AnalyticFunction(tuple(coeffs)), atom, 1).value
+    value, estimate = _energy_of_derivative(
+        coeffs, 1, QuadratureSpec.from_csv("32,32,0,0"), atom
+    )
+    assert estimate >= abs(value - exact)
+    assert estimate > 1e-6 * exact

@@ -1,11 +1,16 @@
 """Suite driver contract: tolerances, argument checks, the registry."""
 
+import json
+import math
+
 import numpy as np
 import pytest
 
 from dirikit import QuadratureSpec
 from dirikit.suites import (
     SUITES,
+    VerificationReport,
+    _Recorder,
     run_atomic,
     run_dilation,
     run_douglas,
@@ -105,3 +110,39 @@ def test_runners_are_looked_up_in_the_registry_at_call_time(monkeypatch):
     assert all(kw["seed"] == 7 for kw in calls.values())
     with pytest.raises(KeyError):
         run_suite("nonexistent")
+
+
+def test_non_finite_residuals_fail_and_show_in_the_report():
+    # NaN compares false with every tolerance and loses every max
+    rec = _Recorder(1e-9, False)
+    rec.equality({"check": "eq"}, float("nan"), 1.0)
+    rec.upper_bound({"check": "ub"}, float("nan"), 1.0)
+    rec.equality({"check": "inf"}, math.inf, 1.0)
+    assert [f.record["check"] for f in rec.failures] == ["eq", "ub", "inf"]
+    assert rec.max_residual == math.inf
+    report = VerificationReport("demo", 1, 0, rec.failures, rec.max_residual)
+    payload = json.loads(json.dumps(report.to_json(), allow_nan=False))
+    assert payload["passed"] is False
+    assert payload["max_residual"] == "inf"
+    assert payload["failures"][0]["observed"] == "nan"
+    assert payload["failures"][0]["gap"] == "inf"
+    assert payload["failures"][0]["expected"] == 1.0
+
+
+def test_quadrature_suites_leave_the_grid_to_each_integral(monkeypatch):
+    # without a spec the body sees None and douglas_decompose picks the grid
+    import dirikit.suites
+
+    seen = []
+    real = dirikit.suites.douglas_decompose
+
+    def spying(f, point, order, spec=None):
+        seen.append(spec)
+        return real(f, point, order, spec)
+
+    monkeypatch.setattr(dirikit.suites, "douglas_decompose", spying)
+    assert run_douglas(trials=4).passed
+    assert seen == [None] * 4
+    spec = QuadratureSpec(64, 128)
+    assert run_douglas(trials=2, spec=spec).passed
+    assert seen[4:] == [spec, spec]
