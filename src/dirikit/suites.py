@@ -339,6 +339,25 @@ def run_tmap(rec: _Recorder, draws, orders, spec) -> None:
         rec.equality(record, lhs, rhs)
 
 
+def _kernel_series_terms(order: int, r: float) -> int:
+    """Terms of the local kernel series, at least 200, after which the tail
+    is below 2^-60 of the kernel at |z conj(w)| = r.
+
+    The terms t_k = binom(n+1+k, k) r^k shrink by the ratio
+    r (n+2+k) / (k+1), which decreases in k, so once it is below 1 the tail
+    from k on is at most t_k / (1 - ratio).  The sum 1 / (1 - x)^(n+2) has
+    modulus at least (1 + r)^-(n+2).
+    """
+    m = order + 2
+    bound = 2.0**-60 * (1.0 + r) ** -m
+    k = 200
+    while True:
+        ratio = r * (m + k) / (k + 1)
+        if ratio < 1 and math.comb(m - 1 + k, k) * r**k <= bound * (1 - ratio):
+            return k
+        k += 1
+
+
 def _kernel_grid() -> list[complex]:
     return [
         0.7 * (i + 1) / 5.0 * np.exp(2j * math.pi * (i + 0.3) / 5.0)
@@ -351,7 +370,9 @@ def run_kernel(rec: _Recorder, draws, orders) -> None:
     """Closed-form local Bergman kernel against its basis expansion.
 
     A fixed 5x5 point grid compares the rational closed form with the
-    200-term orthonormal-basis series; randomized trials then check the
+    orthonormal-basis series, summed over at least 200 terms and as many
+    more as its tail needs (``_kernel_series_terms``, which adds terms from
+    order 30 on); randomized trials then check the
     reproducing property of arc-length kernel sections against direct
     evaluation.  Both are complex, so each check records their distance
     relative to the expected side, max(1, |closed|) or max(1, |direct|).
@@ -362,7 +383,8 @@ def run_kernel(rec: _Recorder, draws, orders) -> None:
             for wi, w in enumerate(points):
                 lam = np.exp(1j * (0.7 * zi + 1.9 * wi))
                 closed = local_bergman_kernel(z, w, lam, n)
-                series = local_bergman_kernel_series(z, w, lam, n, 200)
+                terms = _kernel_series_terms(n, abs(z * w.conjugate()))
+                series = local_bergman_kernel_series(z, w, lam, n, terms)
                 record = {"check": "kernel", "n": n, "zi": zi, "wi": wi}
                 rec.equality(record, _relative_gap(series, closed), 0.0)
     for i, rng in draws:

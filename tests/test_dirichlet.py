@@ -2,6 +2,7 @@
 
 import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -251,6 +252,30 @@ def test_local_bergman_kernel_series_matches():
     closed = local_bergman_kernel(0.4j, -0.3, lam, 2)
     series = local_bergman_kernel_series(0.4j, -0.3, lam, 2, 200)
     assert closed == pytest.approx(series, abs=1e-12)
+
+
+def test_local_bergman_kernel_series_survives_cancellation():
+    # at order 90, x = z conj(w) = 0.294 e^(-2.51i): terms up to 4e12 add
+    # up to 1.2e-9, which a floating-point sum cannot resolve (it gives
+    # 1.6e-3); summed exactly, 451 terms (a tail below 2^-60) match the
+    # closed form
+    z = 0.42 * cmath.exp(2j * math.pi * 2.3 / 5)
+    w = 0.7 * cmath.exp(2j * math.pi * 4.3 / 5)
+    lam = cmath.exp(1j * (0.7 * 2 + 1.9 * 4))
+    closed = local_bergman_kernel(z, w, lam, 90)
+    series = local_bergman_kernel_series(z, w, lam, 90, 451)
+    assert abs(series - closed) <= 1e-12 * abs(closed)
+
+
+def test_exact_power_series_rounds_once():
+    from dirikit.dirichlet import _exact_power_series
+
+    assert _exact_power_series([1, 2, 3], 0.5 + 0.25j) == 2.5625 + 1.25j
+    # oracle: the same polynomial in exact rationals, rounded once
+    p, q = Fraction(0.1), Fraction(-0.3)
+    re = 1 + 2 * p + 3 * (p * p - q * q)
+    im = 2 * q + 6 * p * q
+    assert _exact_power_series([1, 2, 3], 0.1 - 0.3j) == complex(float(re), float(im))
 
 
 # ------------------------------------------------------------------ szego
