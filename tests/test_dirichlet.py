@@ -37,6 +37,7 @@ from dirikit import (
     szego_kernel_truncation,
     szego_potential,
 )
+from dirikit.dirichlet import _exact_power_series
 
 
 def mono(k):
@@ -268,8 +269,6 @@ def test_local_bergman_kernel_series_survives_cancellation():
 
 
 def test_exact_power_series_rounds_once():
-    from dirikit.dirichlet import _exact_power_series
-
     assert _exact_power_series([1, 2, 3], 0.5 + 0.25j) == 2.5625 + 1.25j
     # oracle: the same polynomial in exact rationals, rounded once
     p, q = Fraction(0.1), Fraction(-0.3)
