@@ -142,17 +142,6 @@ def _atom_decomposition_value(
     return dirichlet_sigma(quotient, order - 1).value
 
 
-def _quadrature_spec(
-    f: AnalyticFunction, order: int, spec: QuadratureSpec | None
-) -> QuadratureSpec:
-    # a given spec wins; else the smallest exact grid for a polynomial
-    if spec is not None:
-        return spec
-    if f.exact:
-        return QuadratureSpec.for_polynomial(f.degree, order)
-    return QuadratureSpec.default()
-
-
 def dirichlet_weighted(
     f: AnalyticFunction,
     measure: CircleMeasure,
@@ -167,10 +156,9 @@ def dirichlet_weighted(
     decomposition route per atom and the coefficient series for the
     arc-length part.  Truncations integrate their atoms numerically, and
     ``force_quadrature`` integrates every part numerically; the numerical
-    parts come from one ``poisson_weighted_energy`` call, on ``spec`` if
-    given, else on the smallest exact grid for an exact polynomial
-    (:meth:`QuadratureSpec.for_polynomial`) and on
-    :meth:`QuadratureSpec.default` for a truncation.
+    parts come from one ``poisson_weighted_energy`` call, on the grid
+    :meth:`QuadratureSpec.choose` picks from ``spec``, the degree of f
+    and the order.
     """
     if order < 1:
         raise ValueError(
@@ -185,7 +173,7 @@ def dirichlet_weighted(
         # the parts left to quadrature share one sampling of f^(n)
         sampled = measure if force_quadrature else CircleMeasure(measure.atoms)
         if sampled.total_mass > 0:
-            spec = _quadrature_spec(f, order, spec)
+            spec = QuadratureSpec.choose(spec, f.degree, order, f.exact)
             df = derivative(f, order)
             for value, est in poisson_weighted_energy(
                 lambda z: evaluate(df, z), order, spec, sampled
@@ -237,7 +225,7 @@ def douglas_decompose(
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
-    spec = _quadrature_spec(f, order, spec)
+    spec = QuadratureSpec.choose(spec, f.degree, order, f.exact)
     lam = complex(boundary_point)
     alpha, status = boundary_value(f, lam)
     if status is BoundaryStatus.DIVERGENT:
@@ -347,18 +335,12 @@ def local_bergman_kernel_series(
     For complex x = z conj(w) the terms reach (1 - |x|)^-(n+2) in size
     while their sum is |1 - x|^-(n+2), so a floating-point sum can lose
     every digit: at n = 90 and x = 0.294 e^(-2.51i) the terms reach 4e12
-    and the sum is 1.2e-9.  Summing K terms costs at most
-    about K 2^-53 sum_k |t_k| / |sum|; where that exceeds 2^-40 the sum
-    is redone exactly, in Gaussian integers over the dyadic denominator
-    of x, and rounded once.
+    and the sum is 1.2e-9.  The sum is therefore taken exactly, in
+    Gaussian integers over the dyadic denominator of x, and rounded once.
     """
     z, w, lam = complex(z), complex(w), complex(boundary_point)
-    x = z * w.conjugate()
     coeffs = [math.comb(order + k + 1, k) for k in range(terms)]
-    parts = [c * x**k for k, c in enumerate(coeffs)]
-    series = sum(parts)
-    if terms * sum(map(abs, parts)) > 2.0**13 * abs(series):
-        series = _exact_power_series(coeffs, x)
+    series = _exact_power_series(coeffs, z * w.conjugate())
     scale = math.factorial(order) * math.factorial(order - 1) * (order + 1)
     return scale * (z - lam) * (w.conjugate() - lam.conjugate()) * series
 

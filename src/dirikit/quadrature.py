@@ -113,13 +113,10 @@ class QuadratureSpec:
         By the bound in :func:`poisson_weighted_energy` the half grid needs
         ``radial // 2 >= degree`` and ``angular // 2 >= 2 (degree - order)
         + 1``, with its floors of 4 and 8; a vanishing ``f^(order)`` needs
-        nothing beyond the floors.  Clip and levels are the defaults.  An
-        environment override wins, as in :meth:`default`, and where the
-        exact grid would exceed the package default in either dimension,
-        the default is kept.
+        nothing beyond the floors.  Clip and levels are the defaults.
+        Where the exact grid would exceed the package default in either
+        dimension, the package default is kept.
         """
-        if os.environ.get(QUAD_DEFAULT_ENV):
-            return cls.default()
         spread = degree - order  # the degree of f^(order)
         radial = 2 * max(degree if spread >= 0 else 0, 4)
         angular = 2 * max(2 * spread + 1, 8)
@@ -127,6 +124,22 @@ class QuadratureSpec:
         if radial > default.radial or angular > default.angular:
             return default
         return cls(radial, angular)
+
+    @classmethod
+    def choose(
+        cls, spec: QuadratureSpec | None, degree: int, order: int, exact: bool
+    ) -> QuadratureSpec:
+        """Grid for the order-``order`` energy of a function of ``degree``.
+
+        A given ``spec`` wins, then the environment override; otherwise an
+        exact polynomial gets :meth:`for_polynomial` and a truncation
+        (``exact`` false) the package default.
+        """
+        if spec is not None:
+            return spec
+        if exact and not os.environ.get(QUAD_DEFAULT_ENV):
+            return cls.for_polynomial(degree, order)
+        return cls.default()
 
 
 @lru_cache(maxsize=64)

@@ -163,9 +163,9 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
     The runner takes ``trials``, ``seed``, ``spec``, ``orders`` and
     ``tolerance``; ``None`` means the defaults given here.  A ``None``
     spec reaches the body as it is, and each integral then picks its own
-    grid: the smallest exact one for a polynomial
-    (:meth:`QuadratureSpec.for_polynomial`), the default for a
-    truncation.  Before the first trial it
+    grid through :meth:`QuadratureSpec.choose`: the environment override
+    if set, else the smallest exact one for a polynomial and the default
+    for a truncation.  Before the first trial it
     raises ``ValueError`` for a negative trial count, for orders or a spec
     the suite does not read (it reads orders when it has default orders,
     and a spec when it is one of the quadrature suites), and for an order
@@ -330,7 +330,7 @@ def run_tmap(rec: _Recorder, draws, orders, spec) -> None:
         angle = _random_angle(rng)
         lifted = bergman_lift(f, np.exp(1j * angle), n)
         # the lift is the n-th derivative of (z - lam) f, of degree deg f + 1
-        grid = spec or QuadratureSpec.for_polynomial(f.degree + 1, n)
+        grid = QuadratureSpec.choose(spec, f.degree + 1, n, f.exact)
         [(lhs, _)] = poisson_weighted_energy(
             lambda z: evaluate(lifted, z), n, grid, CircleMeasure.point_mass(angle)
         )

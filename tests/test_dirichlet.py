@@ -258,7 +258,7 @@ def test_local_bergman_kernel_series_matches():
 def test_local_bergman_kernel_series_survives_cancellation():
     # at order 90, x = z conj(w) = 0.294 e^(-2.51i): terms up to 4e12 add
     # up to 1.2e-9, which a floating-point sum cannot resolve (it gives
-    # 1.6e-3); summed exactly, 451 terms (a tail below 2^-60) match the
+    # 1.6e-3); the exact sum of 451 terms (a tail below 2^-60) matches the
     # closed form
     z = 0.42 * cmath.exp(2j * math.pi * 2.3 / 5)
     w = 0.7 * cmath.exp(2j * math.pi * 4.3 / 5)
@@ -667,6 +667,7 @@ def test_exact_route_builds_no_quadrature_spec(monkeypatch):
 
     monkeypatch.setattr(QuadratureSpec, "default", refuse)
     monkeypatch.setattr(QuadratureSpec, "for_polynomial", refuse)
+    monkeypatch.setattr(QuadratureSpec, "choose", refuse)
     f = AnalyticFunction((0.5, 1.0, -2.0j, 0.25))
     measure = CircleMeasure((Atom(1.0, 2.0),), 0.5)
     result = dirichlet_weighted(f, measure, 2)

@@ -242,11 +242,21 @@ def test_polynomial_grid_never_exceeds_the_default():
     assert QuadratureSpec.for_polynomial(60, 1) == QuadratureSpec()
 
 
-def test_polynomial_grid_yields_to_the_environment(monkeypatch):
+def test_choose_honors_a_given_spec_then_the_environment(monkeypatch):
+    monkeypatch.delenv("DIRIKIT_QUAD_DEFAULT", raising=False)
+    given = QuadratureSpec(16, 16, 0.0, 0)
+    assert QuadratureSpec.choose(given, 3, 1, True) is given
+    assert QuadratureSpec.choose(None, 3, 1, True) == QuadratureSpec.for_polynomial(3, 1)
+    # a truncation keeps the package default
+    assert QuadratureSpec.choose(None, 3, 1, False) == QuadratureSpec()
     monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "96,256,0.015625,4")
-    assert QuadratureSpec.for_polynomial(3, 1) == QuadratureSpec()
+    assert QuadratureSpec.choose(None, 3, 1, True) == QuadratureSpec()
     monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "32,64,0,0")
-    assert QuadratureSpec.for_polynomial(3, 1) == QuadratureSpec(32, 64, 0.0, 0)
+    assert QuadratureSpec.choose(None, 3, 1, True) == QuadratureSpec(32, 64, 0.0, 0)
+    assert QuadratureSpec.choose(None, 3, 1, False) == QuadratureSpec(32, 64, 0.0, 0)
+    assert QuadratureSpec.choose(given, 3, 1, True) is given
+    # the grid rule itself does not read the environment
+    assert QuadratureSpec.for_polynomial(3, 1) == QuadratureSpec(8, 16)
 
 
 def test_poisson_grid_cache_holds_every_chosen_shape():
