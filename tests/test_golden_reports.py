@@ -1,0 +1,42 @@
+"""Byte-for-byte pins of the gram, defects, eval and decompose reports.
+
+Each case runs one command on the inputs in ``tests/data`` and compares
+the report file with the golden one next to them, so a change that moves
+any byte of these reports fails here.  ``verify all --seed 42`` is pinned
+by criterion 12 in ``test_acceptance.py``.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from dirikit.cli import main
+
+DATA = Path(__file__).parent / "data"
+F12 = str(DATA / "golden-f12.json")
+MEASURE = str(DATA / "golden-measure.json")
+TUPLE3 = str(DATA / "golden-tuple3.json")
+
+CASES = {
+    "golden-gram-deg24.csv": ["gram", "--measures", TUPLE3, "--degree", "24"],
+    "golden-defects.json": [
+        "defects", "--function", F12, "--measures", TUPLE3, "--max-order", "4",
+    ],
+    "golden-eval-exact.json": [
+        "eval", "--function", F12, "--measure", MEASURE, "--n", "2",
+    ],
+    "golden-eval-quadrature.json": [
+        "eval", "--function", F12, "--measure", MEASURE, "--n", "2",
+        "--force-quadrature",
+    ],
+    "golden-decompose.json": [
+        "decompose", "--function", F12, "--atom", "2.2", "--n", "3",
+    ],
+}
+
+
+@pytest.mark.parametrize("golden", sorted(CASES))
+def test_report_matches_golden(golden, tmp_path):
+    out = tmp_path / golden
+    assert main(CASES[golden] + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
