@@ -35,33 +35,17 @@ class InputError(Exception):
     """Malformed input file or argument (exit code 2)."""
 
 
-def _load_json(path: str) -> dict:
+def _load(path: str, parse, kind: str):
+    """``parse`` applied to the JSON in ``path``; bad input is an InputError."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+            payload = json.load(handle)
+    except (OSError, ValueError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
-
-
-def _load_function(path: str) -> AnalyticFunction:
     try:
-        return AnalyticFunction.from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed function file {path}: {exc}") from exc
-
-
-def _load_measure(path: str) -> CircleMeasure:
-    try:
-        return CircleMeasure.from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed measure file {path}: {exc}") from exc
-
-
-def _load_measure_tuple(path: str) -> MeasureTuple:
-    try:
-        return MeasureTuple.from_json(_load_json(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"malformed measure tuple file {path}: {exc}") from exc
+        return parse(payload)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise InputError(f"malformed {kind} file {path}: {exc}") from exc
 
 
 def _parse_spec(text: str | None) -> QuadratureSpec | None:
@@ -121,8 +105,8 @@ def _emit_reports(reports: list[VerificationReport], out: str | None,
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    f = _load_function(args.function)
-    measure = _load_measure(args.measure)
+    f = _load(args.function, AnalyticFunction.from_json, "function")
+    measure = _load(args.measure, CircleMeasure.from_json, "measure")
     spec = _parse_spec(args.quad)
     try:
         result = dirichlet_weighted(
@@ -135,7 +119,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_decompose(args: argparse.Namespace) -> int:
-    f = _load_function(args.function)
+    f = _load(args.function, AnalyticFunction.from_json, "function")
     spec = _parse_spec(args.quad)
     try:
         certificate = douglas_decompose(
@@ -148,7 +132,7 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
 
 
 def _cmd_gram(args: argparse.Namespace) -> int:
-    measures = _load_measure_tuple(args.measures)
+    measures = _load(args.measures, MeasureTuple.from_json, "measure tuple")
     try:
         section = gram_section(measures, args.degree)
     except ValueError as exc:
@@ -161,8 +145,8 @@ def _cmd_gram(args: argparse.Namespace) -> int:
 
 
 def _cmd_defects(args: argparse.Namespace) -> int:
-    f = _load_function(args.function)
-    measures = _load_measure_tuple(args.measures)
+    f = _load(args.function, AnalyticFunction.from_json, "function")
+    measures = _load(args.measures, MeasureTuple.from_json, "measure tuple")
     try:
         report = defect_sequence(f, measures, args.max_order)
     except ValueError as exc:

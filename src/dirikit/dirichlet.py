@@ -118,7 +118,7 @@ def dirichlet_sigma(f: AnalyticFunction, order: int) -> DirichletResult:
     if order < 0:
         raise ValueError("order must be non-negative")
     total = 0.0
-    for k, c in enumerate(f.coeffs):
+    for k, c in enumerate(f.coeffs.tolist()):
         if k >= order:
             total += math.comb(k, order) * abs(c) ** 2
     return DirichletResult(total, "series", 0.0, order)
@@ -128,9 +128,10 @@ def dirichlet_sigma_inner(
     f: AnalyticFunction, g: AnalyticFunction, order: int
 ) -> complex:
     """Polarized arc-length seminorm pairing sum binom(k, n) a_k conj(b_k)."""
+    a, b = f.coeffs.tolist(), g.coeffs.tolist()
     total = 0.0 + 0.0j
-    for k in range(order, min(len(f.coeffs), len(g.coeffs))):
-        total += math.comb(k, order) * f.coeffs[k] * g.coeffs[k].conjugate()
+    for k in range(order, min(len(a), len(b))):
+        total += math.comb(k, order) * a[k] * b[k].conjugate()
     return total
 
 
@@ -293,7 +294,7 @@ def dirichlet_kernel_section(
     coeffs = [0.0 + 0.0j] * (degree + 1)
     for k in range(order, degree + 1):
         coeffs[k] = w.conjugate() ** k / math.comb(k, order)
-    return AnalyticFunction(tuple(coeffs), False)
+    return AnalyticFunction(coeffs, False)
 
 
 def local_bergman_kernel(
@@ -349,7 +350,7 @@ def szego_kernel_truncation(w: complex, degree: int) -> AnalyticFunction:
     """Degree-``degree`` truncation of 1 / (1 - z conj(w))."""
     w = complex(w)
     return AnalyticFunction(
-        tuple(w.conjugate() ** k for k in range(degree + 1)), False
+        [w.conjugate() ** k for k in range(degree + 1)], False
     )
 
 
@@ -395,7 +396,7 @@ def _lagrange_interpolant(
             basis = np.convolve(basis, np.array([-pi, 1.0 + 0.0j]))
             denom *= pj - pi
         coeffs[: len(basis)] += vj * basis / denom
-    return AnalyticFunction(tuple(coeffs))
+    return AnalyticFunction(coeffs)
 
 
 def atomic_decompose(
@@ -434,13 +435,8 @@ def atomic_decompose(
     rebuilt = quotient
     for point in points:
         rebuilt = times_linear(rebuilt, point)
-    rebuilt = rebuilt + interpolant
-    width = max(len(f.coeffs), len(rebuilt.coeffs))
-    fc = np.zeros(width, dtype=complex)
-    rc = np.zeros(width, dtype=complex)
-    fc[: len(f.coeffs)] = f.coefficient_array()
-    rc[: len(rebuilt.coeffs)] = rebuilt.coefficient_array()
-    residual = float(np.max(np.abs(fc - rc)))
+    gap = f + (-1.0) * (rebuilt + interpolant)
+    residual = float(np.max(np.abs(gap.coeffs)))
     return AtomicDecomposition(interpolant, quotient, residual)
 
 
@@ -485,7 +481,7 @@ def _multiplication_section(
     columns = np.arange(len(ks))
     matrix = np.zeros((len(ks) + d, len(ks)), dtype=complex)
     matrix[columns + np.arange(d + 1)[:, None], columns] = (
-        phi.coefficient_array()[:, None] * ratios
+        phi.coeffs[:, None] * ratios
     )
     return matrix, weights
 
@@ -498,7 +494,7 @@ def _multiplier_upper(
     start = section_degree + 1
     tail = sum(
         abs(c) * math.sqrt(weights[start + p] / weights[start])
-        for p, c in enumerate(phi.coeffs)
+        for p, c in enumerate(phi.coeffs.tolist())
     )
     return math.sqrt(section**2 + tail**2)
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import isfinite
 
 import numpy as np
 
@@ -39,47 +38,52 @@ class InexactDivisionError(ArithmeticError):
     """Raised when dividing an exact polynomial by a non-root factor."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AnalyticFunction:
     """Finite Taylor expansion sum_k a_k z^k with an exactness flag.
 
-    ``coeffs`` always has length ``degree + 1``.  ``exact`` means the
+    ``coeffs`` is a read-only 1-D complex ndarray of length ``degree + 1``,
+    copied from whatever array-like the caller passes.  ``exact`` means the
     function *is* this polynomial; otherwise the vector is the truncation
     of something longer and downstream consumers must not assume the tail
-    vanishes.
+    vanishes.  Two functions are equal when their flags and coefficients
+    are.
     """
 
-    coeffs: tuple[complex, ...]
+    coeffs: np.ndarray
     exact: bool = True
 
     def __post_init__(self):
-        if len(self.coeffs) == 0:
+        coeffs = np.array(self.coeffs, dtype=complex)
+        if coeffs.ndim != 1:
+            raise ValueError("coefficients must form a flat sequence")
+        if coeffs.size == 0:
             raise ValueError("need at least the constant coefficient")
-        cleaned = tuple(complex(c) for c in self.coeffs)
-        if not all(isfinite(c.real) and isfinite(c.imag) for c in cleaned):
+        if not np.isfinite(coeffs).all():
             raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "coeffs", cleaned)
+        coeffs.setflags(write=False)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, AnalyticFunction):
+            return NotImplemented
+        return self.exact == other.exact and np.array_equal(
+            self.coeffs, other.coeffs
+        )
+
+    def __hash__(self):
+        # hashing the values, not the bytes, makes -0.0 and 0.0 agree
+        return hash((self.exact, *self.coeffs.tolist()))
 
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
 
     @classmethod
-    def from_coefficients(cls, coeffs, exact: bool = True) -> AnalyticFunction:
-        return cls(tuple(complex(c) for c in coeffs), exact)
-
-    @classmethod
-    def constant(cls, value: complex) -> AnalyticFunction:
-        return cls((complex(value),), True)
-
-    @classmethod
     def monomial(cls, k: int, scale: complex = 1.0) -> AnalyticFunction:
         if k < 0:
             raise ValueError("monomial degree must be non-negative")
         return cls((0.0,) * k + (complex(scale),), True)
-
-    def coefficient_array(self) -> np.ndarray:
-        return np.asarray(self.coeffs, dtype=complex)
 
     def __add__(self, other: AnalyticFunction) -> AnalyticFunction:
         return add(self, other)
@@ -93,28 +97,27 @@ class AnalyticFunction:
 
     def to_json(self) -> dict:
         return {
-            "coeffs": [[c.real, c.imag] for c in self.coeffs],
+            "coeffs": [[c.real, c.imag] for c in self.coeffs.tolist()],
             "exact": self.exact,
         }
 
     @classmethod
     def from_json(cls, payload: dict) -> AnalyticFunction:
         coeffs = [complex(re, im) for re, im in payload["coeffs"]]
-        return cls(tuple(coeffs), bool(payload.get("exact", True)))
+        return cls(coeffs, bool(payload.get("exact", True)))
 
 
 def evaluate(f: AnalyticFunction, z):
     """Evaluate f at a point (or ndarray of points) of the closed disc.
 
-    Horner recurrence; ``z`` may be a complex scalar or any numpy array of
-    points with ``|z| <= 1``.
+    Horner recurrence (``np.polyval`` from the top coefficient down);
+    ``z`` may be a complex scalar or any numpy array of points with
+    ``|z| <= 1``.
     """
     zs = np.asarray(z, dtype=complex)
     if np.any(np.abs(zs) > 1.0 + 1e-12):
         raise ValueError("evaluation point outside the closed unit disc")
-    acc = np.zeros_like(zs)
-    for c in reversed(f.coeffs):
-        acc = acc * zs + c
+    acc = np.polyval(f.coeffs[::-1], zs)
     if np.isscalar(z) or zs.ndim == 0:
         return complex(acc)
     return acc
@@ -124,13 +127,13 @@ def derivative(f: AnalyticFunction, order: int = 1) -> AnalyticFunction:
     """Formal ``order``-th derivative; degrees below ``order`` drop out."""
     if order < 0:
         raise ValueError("derivative order must be non-negative")
-    coeffs = f.coefficient_array()
+    coeffs = f.coeffs
     for _ in range(order):
         if len(coeffs) == 1:
             coeffs = np.zeros(1, dtype=complex)
             break
         coeffs = coeffs[1:] * np.arange(1, len(coeffs))
-    return AnalyticFunction(tuple(coeffs), f.exact)
+    return AnalyticFunction(coeffs, f.exact)
 
 
 def dilate(f: AnalyticFunction, r: float) -> AnalyticFunction:
@@ -138,19 +141,19 @@ def dilate(f: AnalyticFunction, r: float) -> AnalyticFunction:
     if not 0.0 <= r < 1.0:
         raise ValueError("dilation radius must lie in [0, 1)")
     powers = r ** np.arange(len(f.coeffs))
-    return AnalyticFunction(tuple(f.coefficient_array() * powers), f.exact)
+    return AnalyticFunction(f.coeffs * powers, f.exact)
 
 
 def add(f: AnalyticFunction, g: AnalyticFunction) -> AnalyticFunction:
     n = max(len(f.coeffs), len(g.coeffs))
     acc = np.zeros(n, dtype=complex)
-    acc[: len(f.coeffs)] += f.coefficient_array()
-    acc[: len(g.coeffs)] += g.coefficient_array()
-    return AnalyticFunction(tuple(acc), f.exact and g.exact)
+    acc[: len(f.coeffs)] += f.coeffs
+    acc[: len(g.coeffs)] += g.coeffs
+    return AnalyticFunction(acc, f.exact and g.exact)
 
 
 def scale(f: AnalyticFunction, c: complex) -> AnalyticFunction:
-    return AnalyticFunction(tuple(f.coefficient_array() * complex(c)), f.exact)
+    return AnalyticFunction(f.coeffs * complex(c), f.exact)
 
 
 def multiply(
@@ -164,10 +167,10 @@ def multiply(
     ``exact`` flag.
     """
     cap = DEFAULT_TRUNCATION_DEGREE if max_degree is None else max_degree
-    full = np.convolve(f.coefficient_array(), g.coefficient_array())
+    full = np.convolve(f.coeffs, g.coeffs)
     if len(full) - 1 > cap:
-        return AnalyticFunction(tuple(full[: cap + 1]), False)
-    return AnalyticFunction(tuple(full), f.exact and g.exact)
+        return AnalyticFunction(full[: cap + 1], False)
+    return AnalyticFunction(full, f.exact and g.exact)
 
 
 def times_linear(f: AnalyticFunction, root: complex) -> AnalyticFunction:
@@ -194,7 +197,7 @@ def divide_by_root(
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-9:
         raise ValueError("division point must lie on the unit circle")
-    a = f.coefficient_array()
+    a = f.coeffs
     n = len(a) - 1
     if n == 0:
         g = AnalyticFunction((0.0,), f.exact)
@@ -205,7 +208,7 @@ def divide_by_root(
         for k in range(1, n):
             out[k] = (out[k - 1] - a[k]) / lam
         residue = abs(out[n - 1] - a[n])
-        g = AnalyticFunction(tuple(out), f.exact)
+        g = AnalyticFunction(out, f.exact)
     if f.exact and residue > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
         raise InexactDivisionError(
             f"inexact division: remainder {residue:.3e} at lam={lam}"

@@ -15,7 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import dirichlet_atomic_order_zero, dirichlet_weighted
+from .dirichlet import (
+    dirichlet_atomic_order_zero,
+    dirichlet_sigma,
+    dirichlet_weighted,
+)
 from .functions import AnalyticFunction, multiply
 from .measures import CircleMeasure, MeasureTuple
 
@@ -72,7 +76,7 @@ def tuple_norm_sq(f: AnalyticFunction, measures: MeasureTuple) -> float:
     """Squared tuple norm: Hardy part plus the order-j weighted integrals."""
     if not f.exact:
         raise ValueError("tuple norms are defined for exact polynomials only")
-    total = float(sum(abs(c) ** 2 for c in f.coeffs))
+    total = dirichlet_sigma(f, 0).value
     for j, measure in enumerate(measures.entries, start=1):
         if measure.total_mass == 0:
             continue

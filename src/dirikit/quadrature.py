@@ -22,7 +22,6 @@ one contraction per atom.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -30,9 +29,6 @@ from functools import lru_cache
 import numpy as np
 
 from .measures import CircleMeasure
-
-#: Environment variable holding a "radial,angular,clip,levels" override.
-QUAD_DEFAULT_ENV = "DIRIKIT_QUAD_DEFAULT"
 
 
 class SingularIntegrandError(ArithmeticError):
@@ -99,10 +95,7 @@ class QuadratureSpec:
 
     @classmethod
     def default(cls) -> QuadratureSpec:
-        """Package default, honoring the environment override if set."""
-        override = os.environ.get(QUAD_DEFAULT_ENV)
-        if override:
-            return cls.from_csv(override)
+        """Package default."""
         return cls()
 
     @classmethod
@@ -131,13 +124,13 @@ class QuadratureSpec:
     ) -> QuadratureSpec:
         """Grid for the order-``order`` energy of a function of ``degree``.
 
-        A given ``spec`` wins, then the environment override; otherwise an
-        exact polynomial gets :meth:`for_polynomial` and a truncation
-        (``exact`` false) the package default.
+        A given ``spec`` wins; otherwise an exact polynomial gets
+        :meth:`for_polynomial` and a truncation (``exact`` false) the
+        package default.
         """
         if spec is not None:
             return spec
-        if exact and not os.environ.get(QUAD_DEFAULT_ENV):
+        if exact:
             return cls.for_polynomial(degree, order)
         return cls.default()
 

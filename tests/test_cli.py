@@ -1,8 +1,14 @@
 """Command-line interface tests."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dirikit.cli import main
 
@@ -264,6 +270,18 @@ def test_eval_non_finite_measure_exits_two(measure, square_file, tmp_path, capsy
     assert captured.err.startswith("error:")
 
 
+def test_verify_kernel_reports_where_its_closed_form_overflows(capsys):
+    # orders 92-97 overflow to an infinite gap, which fails the check;
+    # from 98 the closed form itself no longer fits a float
+    assert main(["verify", "kernel", "--n", "97", "--trials", "1"]) == 1
+    assert json.loads(capsys.readouterr().out)["max_residual"] == "inf"
+    assert main(["verify", "kernel", "--n", "98", "--trials", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: kernel: the closed-form local Bergman kernel of order 98 "
+        "exceeds the float range\n"
+    )
+
+
 def test_verify_kernel_overflow_exits_two(capsys):
     # (n+1)! (n-1)! no longer converts to a float at n = 100
     assert main(["verify", "kernel", "--n", "100", "--trials", "1"]) == 2
@@ -317,28 +335,18 @@ def test_eval_reports_the_given_grid(square_file, atom_file, capsys):
     assert payload["quad"] == {"radial": 96, "angular": 256, "clip": 0.015625, "levels": 4}
 
 
-def test_eval_reports_the_environment_grid(square_file, atom_file, capsys, monkeypatch):
-    monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "32,64,0,0")
-    assert _forced_eval(square_file, atom_file) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["quad"] == {"radial": 32, "angular": 64, "clip": 0.0, "levels": 0}
-
-
 def test_exact_route_json_has_no_grid(square_file, atom_file, capsys):
     assert main(["eval", "--function", square_file, "--measure", atom_file, "--n", "1"]) == 0
     assert "quad" not in json.loads(capsys.readouterr().out)
 
 
-def test_decompose_reports_its_grid(square_file, capsys, monkeypatch):
+def test_decompose_reports_its_grid(square_file, capsys):
     assert main(["decompose", "--function", square_file, "--atom", "0.0", "--n", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["quad"]["radial"] == 8
     argv = ["decompose", "--function", square_file, "--atom", "0.0", "--n", "2",
             "--quad", "96,256,0.015625,4"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["quad"]["angular"] == 256
-    monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "32,64,0,0")
-    assert main(argv[:-2]) == 0
-    assert json.loads(capsys.readouterr().out)["quad"]["angular"] == 64
 
 
 def test_verify_kernel_at_order_90(capsys):
@@ -346,3 +354,101 @@ def test_verify_kernel_at_order_90(capsys):
     # its series terms cancel by about 1e22, so they are summed exactly
     assert main(["verify", "kernel", "--n", "90", "--trials", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["max_residual"] <= 1e-10
+
+
+def test_the_environment_does_not_move_any_number(
+    square_file, atom_file, tmp_path, capsys, monkeypatch
+):
+    # a grid exported in the environment once replaced the chosen one
+    outputs = []
+    for env in (None, "16,16,0,0"):
+        if env is not None:
+            monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", env)
+        assert _forced_eval(square_file, atom_file) == 0
+        report = tmp_path / f"szego-{len(outputs)}.json"
+        assert main(["verify", "szego", "--seed", "3", "--out", str(report)]) == 0
+        outputs.append((capsys.readouterr().out, report.read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def _eval_exit(function_text, measure_text):
+    """Exit code and stderr of ``eval --n 1`` on the given file contents."""
+    with tempfile.TemporaryDirectory() as tmp:
+        function, measure = Path(tmp) / "f.json", Path(tmp) / "m.json"
+        for path, text in ((function, function_text), (measure, measure_text)):
+            path.write_bytes(text if isinstance(text, bytes) else text.encode())
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(["eval", "--function", str(function),
+                         "--measure", str(measure), "--n", "1"])
+    return code, err.getvalue()
+
+
+ATOM = '{"atoms": [{"angle": 0.0, "mass": 1.0}], "lebesgue": 0.0}'
+
+
+@pytest.mark.parametrize(
+    "function",
+    [
+        '{"coeffs": []}',
+        '{"coeffs": [[NaN, 0]]}',
+        '{"coeffs": [[1, Infinity]]}',
+        '{"coeffs": [[1, 0, 2]]}',
+        '{"coeffs": [[1, 0], [2]]}',
+        '{"coeffs": [[[1, 0], 0]]}',
+        '{"coeffs": [1, 2]}',
+        '{"coeffs": [["1", "0"]]}',
+        '{"coeffs": "10"}',
+        '{"coeffs": null}',
+        '{"coeffs": [[1e400, 0]]}',
+        pytest.param('{"coeffs": [[1' + "0" * 400 + ', 0]]}', id="huge-int"),
+        '{"exact": true}',
+        '[[1, 0]]',
+        '"coeffs"',
+        b'{"coeffs": [[1, 0]], "exact": "\xff"}',
+    ],
+)
+def test_malformed_function_files_exit_two(function):
+    code, err = _eval_exit(function, ATOM)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "measure",
+    ['[]', '{"atoms": [[0, 1]]}', '{"atoms": [{"angle": 0}]}',
+     pytest.param('{"lebesgue": 1' + "0" * 400 + "}", id="huge-int"),
+     '{"atoms": 3}'],
+)
+def test_malformed_measure_files_exit_two(measure):
+    code, err = _eval_exit('{"coeffs": [[0, 0], [1, 0]]}', measure)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["coeffs", "exact", "atoms", "angle",
+                                       "mass", "lebesgue"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(json_values, json_values)
+@settings(max_examples=100, deadline=None)
+def test_any_function_and_measure_file_ends_in_a_result_or_an_error(function, measure):
+    # an exception escaping main would be a traceback for the user
+    code, err = _eval_exit(json.dumps(function), json.dumps(measure))
+    assert code in (0, 2)
+    assert (err == "") if code == 0 else err.startswith("error:")
+
+
+@given(st.lists(st.lists(st.floats() | st.integers() | st.text(max_size=3),
+                         max_size=3), max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_any_coefficient_list_ends_in_a_result_or_an_error(coeffs):
+    code, err = _eval_exit(json.dumps({"coeffs": coeffs}), ATOM)
+    assert code in (0, 2)
+    assert (err == "") if code == 0 else err.startswith("error:")

@@ -58,21 +58,21 @@ def test_evaluate_accepts_arrays():
 
 
 def test_derivative_simple():
-    assert derivative(AnalyticFunction((0, 0, 1.0))).coeffs == (0.0, 2.0)
+    assert derivative(AnalyticFunction((0, 0, 1.0))).coeffs.tolist() == [0.0, 2.0]
 
 
 def test_derivative_factorial():
-    assert derivative(AnalyticFunction((0, 0, 0, 1.0)), 3).coeffs == (6.0,)
+    assert derivative(AnalyticFunction((0, 0, 0, 1.0)), 3).coeffs.tolist() == [6.0]
 
 
 def test_derivative_coefficient_rule():
     # oracle: k!/(k-2)! a_k at k = 2 gives 2 * 3 = 6
     f = AnalyticFunction((1.0, 2.0, 3.0))
-    assert derivative(f, 2).coeffs == (6.0,)
+    assert derivative(f, 2).coeffs.tolist() == [6.0]
 
 
 def test_derivative_beyond_degree_is_zero():
-    assert derivative(AnalyticFunction((1.0, 1.0)), 5).coeffs == (0.0,)
+    assert derivative(AnalyticFunction((1.0, 1.0)), 5).coeffs.tolist() == [0.0]
 
 
 @given(polys, st.integers(0, 3), st.integers(0, 3))
@@ -89,12 +89,12 @@ def test_derivative_composes(f, i, j):
 
 
 def test_dilate_square():
-    assert dilate(AnalyticFunction((0, 0, 1.0)), 0.5).coeffs == (0.0, 0.0, 0.25)
+    assert dilate(AnalyticFunction((0, 0, 1.0)), 0.5).coeffs.tolist() == [0.0, 0.0, 0.25]
 
 
 def test_dilate_zero_radius_keeps_constant():
     f = AnalyticFunction((3.0, 1.0, 2.0))
-    assert dilate(f, 0.0).coeffs == (3.0, 0.0, 0.0)
+    assert dilate(f, 0.0).coeffs.tolist() == [3.0, 0.0, 0.0]
 
 
 def test_dilate_power_rule():
@@ -118,12 +118,12 @@ def test_dilate_composes(f, r, s):
 
 def test_divide_by_root_synthetic():
     g = divide_by_root(AnalyticFunction((0, 0, 1.0)), 1.0, 1.0)
-    assert g.coeffs == (1.0, 1.0)
+    assert g.coeffs.tolist() == [1.0, 1.0]
 
 
 def test_divide_by_root_constant():
     g = divide_by_root(AnalyticFunction((3.0,)), 1.0, 3.0)
-    assert g.coeffs == (0.0,)
+    assert g.coeffs.tolist() == [0.0]
 
 
 def test_divide_by_root_szego_truncation():
@@ -164,21 +164,21 @@ def test_divide_reconstructs_polynomial(f, angle):
 
 def test_multiply_difference_of_squares():
     product = multiply(AnalyticFunction((1.0, 1.0)), AnalyticFunction((1.0, -1.0)))
-    assert product.coeffs == (1.0, 0.0, -1.0)
+    assert product.coeffs.tolist() == [1.0, 0.0, -1.0]
 
 
 def test_add_identity():
     f = AnalyticFunction((1.0, 2.0, 3.0))
-    assert add(f, AnalyticFunction((0.0,))).coeffs == f.coeffs
+    assert np.array_equal(add(f, AnalyticFunction((0.0,))).coeffs, f.coeffs)
 
 
 def test_multiply_square():
     f = AnalyticFunction((1.0, 1.0))
-    assert multiply(f, f).coeffs == (1.0, 2.0, 1.0)
+    assert multiply(f, f).coeffs.tolist() == [1.0, 2.0, 1.0]
 
 
 def test_scale():
-    assert scale(AnalyticFunction((1.0, 2.0)), 2.0).coeffs == (2.0, 4.0)
+    assert scale(AnalyticFunction((1.0, 2.0)), 2.0).coeffs.tolist() == [2.0, 4.0]
 
 
 def test_multiply_truncates_at_cap():
@@ -249,3 +249,50 @@ def test_times_linear_is_the_linear_product():
     product = times_linear(f, root)
     assert product == multiply(f, AnalyticFunction((-root, 1.0)), max_degree=3)
     assert product.degree == 3 and not product.exact
+
+
+def test_rejects_non_flat_coefficients():
+    for bad in (1.0, [[1.0, 2.0]], [[1.0], [2.0]]):
+        with pytest.raises(ValueError):
+            AnalyticFunction(bad)
+
+
+finite = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(finite, min_size=1, max_size=20), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_json_round_trip_of_any_finite_vector(cs, exact):
+    f = AnalyticFunction(cs, exact)
+    back = AnalyticFunction.from_json(f.to_json())
+    assert back == f
+    assert back.coeffs.tolist() == cs
+
+
+@given(st.lists(finite, min_size=1, max_size=20), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_equal_functions_hash_equal(cs, exact):
+    # adding 0.0 turns every -0.0 into 0.0, an equal value with other bytes
+    f = AnalyticFunction(cs, exact)
+    g = AnalyticFunction(np.array(cs, dtype=complex) + 0.0, exact)
+    assert f == g
+    assert hash(f) == hash(g)
+    assert f != AnalyticFunction(cs, not exact)
+
+
+def test_signed_zeros_are_one_function():
+    f, g = AnalyticFunction((-0.0 - 0.0j,)), AnalyticFunction((0.0,))
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g}) == 1
+
+
+@given(st.lists(finite, min_size=1, max_size=20))
+@settings(max_examples=50, deadline=None)
+def test_coefficients_are_a_read_only_copy(cs):
+    source = np.array(cs, dtype=complex)
+    f = AnalyticFunction(source)
+    assert f.coeffs.dtype == complex and f.coeffs.ndim == 1
+    with pytest.raises(ValueError):
+        f.coeffs[0] = 1.0
+    source[:] = 7.0
+    assert f.coeffs.tolist() == cs

@@ -42,13 +42,6 @@ def test_spec_csv():
         QuadratureSpec.from_csv("48,128")
 
 
-def test_env_override(monkeypatch):
-    monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "32,64,0.125,1")
-    assert QuadratureSpec.default() == QuadratureSpec(32, 64, 0.125, 1)
-    monkeypatch.delenv("DIRIKIT_QUAD_DEFAULT")
-    assert QuadratureSpec.default() == QuadratureSpec()
-
-
 def test_normalization():
     value, _ = integrate_disc(lambda z: np.ones_like(z), QuadratureSpec())
     assert value == pytest.approx(1.0, abs=1e-13)
@@ -242,20 +235,12 @@ def test_polynomial_grid_never_exceeds_the_default():
     assert QuadratureSpec.for_polynomial(60, 1) == QuadratureSpec()
 
 
-def test_choose_honors_a_given_spec_then_the_environment(monkeypatch):
-    monkeypatch.delenv("DIRIKIT_QUAD_DEFAULT", raising=False)
+def test_choose_honors_a_given_spec_then_the_degree():
     given = QuadratureSpec(16, 16, 0.0, 0)
     assert QuadratureSpec.choose(given, 3, 1, True) is given
     assert QuadratureSpec.choose(None, 3, 1, True) == QuadratureSpec.for_polynomial(3, 1)
     # a truncation keeps the package default
     assert QuadratureSpec.choose(None, 3, 1, False) == QuadratureSpec()
-    monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "96,256,0.015625,4")
-    assert QuadratureSpec.choose(None, 3, 1, True) == QuadratureSpec()
-    monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", "32,64,0,0")
-    assert QuadratureSpec.choose(None, 3, 1, True) == QuadratureSpec(32, 64, 0.0, 0)
-    assert QuadratureSpec.choose(None, 3, 1, False) == QuadratureSpec(32, 64, 0.0, 0)
-    assert QuadratureSpec.choose(given, 3, 1, True) is given
-    # the grid rule itself does not read the environment
     assert QuadratureSpec.for_polynomial(3, 1) == QuadratureSpec(8, 16)
 
 
