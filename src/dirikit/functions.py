@@ -104,20 +104,26 @@ class AnalyticFunction:
     @classmethod
     def from_json(cls, payload: dict) -> AnalyticFunction:
         coeffs = [complex(re, im) for re, im in payload["coeffs"]]
-        return cls(coeffs, bool(payload.get("exact", True)))
+        exact = payload.get("exact", True)
+        if not isinstance(exact, bool):
+            raise TypeError("'exact' must be true or false")
+        return cls(coeffs, exact)
 
 
 def evaluate(f: AnalyticFunction, z):
     """Evaluate f at a point (or ndarray of points) of the closed disc.
 
-    Horner recurrence (``np.polyval`` from the top coefficient down);
-    ``z`` may be a complex scalar or any numpy array of points with
-    ``|z| <= 1``.
+    Horner recurrence; ``z`` may be a complex scalar or any numpy array of
+    points with ``|z| <= 1``.
     """
     zs = np.asarray(z, dtype=complex)
     if np.any(np.abs(zs) > 1.0 + 1e-12):
         raise ValueError("evaluation point outside the closed unit disc")
-    acc = np.polyval(f.coeffs[::-1], zs)
+    acc = np.zeros_like(zs)
+    # Python complex operands: numpy adds them faster than the numpy
+    # scalars that iterating the array yields
+    for c in reversed(f.coeffs.tolist()):
+        acc = acc * zs + c
     if np.isscalar(z) or zs.ndim == 0:
         return complex(acc)
     return acc

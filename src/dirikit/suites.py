@@ -163,9 +163,9 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
     The runner takes ``trials``, ``seed``, ``spec``, ``orders`` and
     ``tolerance``; ``None`` means the defaults given here.  A ``None``
     spec reaches the body as it is, and each integral then picks its own
-    grid through :meth:`QuadratureSpec.choose`: the environment override
-    if set, else the smallest exact one for a polynomial and the default
-    for a truncation.  Before the first trial it
+    grid through :meth:`QuadratureSpec.choose`: the smallest exact one
+    for a polynomial and the default for a truncation.  Before the first
+    trial it
     raises ``ValueError`` for a negative trial count, for orders or a spec
     the suite does not read (it reads orders when it has default orders,
     and a spec when it is one of the quadrature suites), and for an order

@@ -359,7 +359,7 @@ def test_verify_kernel_at_order_90(capsys):
 def test_the_environment_does_not_move_any_number(
     square_file, atom_file, tmp_path, capsys, monkeypatch
 ):
-    # a grid exported in the environment once replaced the chosen one
+    # only --quad and a spec argument pick a grid, never the environment
     outputs = []
     for env in (None, "16,16,0,0"):
         if env is not None:
@@ -404,6 +404,7 @@ ATOM = '{"atoms": [{"angle": 0.0, "mass": 1.0}], "lebesgue": 0.0}'
         '{"coeffs": [[1e400, 0]]}',
         pytest.param('{"coeffs": [[1' + "0" * 400 + ', 0]]}', id="huge-int"),
         '{"exact": true}',
+        '{"coeffs": [[1, 0]], "exact": "false"}',
         '[[1, 0]]',
         '"coeffs"',
         b'{"coeffs": [[1, 0]], "exact": "\xff"}',
