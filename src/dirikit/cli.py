@@ -23,6 +23,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .dirichlet import dirichlet_weighted, douglas_decompose
 from .functions import AnalyticFunction
 from .measures import CircleMeasure, MeasureTuple
@@ -31,7 +33,7 @@ from .quadrature import QuadratureSpec
 from .suites import SUITES, VerificationReport, run_all, run_suite
 
 
-class InputError(Exception):
+class InputError(ValueError):
     """Malformed input file or argument (exit code 2)."""
 
 
@@ -108,12 +110,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     f = _load(args.function, AnalyticFunction.from_json, "function")
     measure = _load(args.measure, CircleMeasure.from_json, "measure")
     spec = _parse_spec(args.quad)
-    try:
-        result = dirichlet_weighted(
-            f, measure, args.n, spec, force_quadrature=args.force_quadrature
-        )
-    except (ValueError, ArithmeticError) as exc:
-        raise InputError(str(exc)) from exc
+    result = dirichlet_weighted(
+        f, measure, args.n, spec, force_quadrature=args.force_quadrature
+    )
     _write_text(_dump_json(result.to_json()), args.out)
     return 0
 
@@ -121,22 +120,17 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 def _cmd_decompose(args: argparse.Namespace) -> int:
     f = _load(args.function, AnalyticFunction.from_json, "function")
     spec = _parse_spec(args.quad)
-    try:
-        certificate = douglas_decompose(
-            f, cmath.exp(1j * args.atom), args.n, spec
-        )
-    except (ValueError, ArithmeticError) as exc:
-        raise InputError(str(exc)) from exc
+    certificate = douglas_decompose(f, cmath.exp(1j * args.atom), args.n, spec)
     _write_text(_dump_json(certificate.to_json()), args.out)
     return 0
 
 
 def _cmd_gram(args: argparse.Namespace) -> int:
     measures = _load(args.measures, MeasureTuple.from_json, "measure tuple")
-    try:
+    with np.errstate(over="ignore", invalid="ignore"):  # checked just below
         section = gram_section(measures, args.degree)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    if not np.isfinite(section.matrix).all():
+        raise InputError("result is not finite: the Gram section overflows")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerows(section.to_csv_rows())
@@ -147,10 +141,7 @@ def _cmd_gram(args: argparse.Namespace) -> int:
 def _cmd_defects(args: argparse.Namespace) -> int:
     f = _load(args.function, AnalyticFunction.from_json, "function")
     measures = _load(args.measures, MeasureTuple.from_json, "measure tuple")
-    try:
-        report = defect_sequence(f, measures, args.max_order)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    report = defect_sequence(f, measures, args.max_order)
     _write_text(_dump_json(report.to_json()), args.out)
     return 0
 
@@ -159,24 +150,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     spec = _parse_spec(args.quad)
     if args.suite == "all" and args.n is not None:
         raise InputError("--n applies to a single suite, not 'all'")
-    try:
-        if args.suite == "all":
-            reports = run_all(
-                seed=args.seed, spec=spec, trials=args.trials, tolerance=args.tol
+    if args.suite == "all":
+        reports = run_all(
+            seed=args.seed, spec=spec, trials=args.trials, tolerance=args.tol
+        )
+    else:
+        reports = [
+            run_suite(
+                args.suite,
+                trials=args.trials,
+                seed=args.seed,
+                spec=spec,
+                orders=None if args.n is None else [args.n],
+                tolerance=args.tol,
             )
-        else:
-            reports = [
-                run_suite(
-                    args.suite,
-                    trials=args.trials,
-                    seed=args.seed,
-                    spec=spec,
-                    orders=None if args.n is None else [args.n],
-                    tolerance=args.tol,
-                )
-            ]
-    except (ValueError, ArithmeticError) as exc:
-        raise InputError(str(exc)) from exc
+        ]
     for report in reports:
         status = "pass" if report.passed else "FAIL"
         print(
@@ -202,11 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_quad(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--quad",
-            metavar="R,A,CLIP,LEVELS",
-            help=(
-                "quadrature spec, e.g. 96,256,0.015625,4; CLIP and LEVELS "
-                "are read only by integrate_disc, which no command calls"
-            ),
+            metavar="R,A",
+            help="quadrature grid: radial and angular node counts, e.g. 96,256",
         )
 
     def add_out(p: argparse.ArgumentParser) -> None:
@@ -280,7 +265,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InputError as exc:
+    # bad input, or a computation that input makes fail or overflow
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -221,12 +221,11 @@ def douglas_decompose(
 
     alpha is the boundary value at lam, g the synthetic quotient; the
     certificate carries the quadrature value of the local integral of f
-    (lhs) next to the coefficient series of g one order down (rhs).  The
-    grid is chosen as in :func:`dirichlet_weighted`.
+    (lhs, from :func:`dirichlet_weighted` with ``force_quadrature``) next
+    to the coefficient series of g one order down (rhs).
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
-    spec = QuadratureSpec.choose(spec, f.degree, order, f.exact)
     lam = complex(boundary_point)
     alpha, status = boundary_value(f, lam)
     if status is BoundaryStatus.DIVERGENT:
@@ -234,21 +233,20 @@ def douglas_decompose(
             "no decomposition: divergent boundary value at this point"
         )
     quotient = divide_by_root(f, lam, alpha)
-    df = derivative(f, order)
-    [(lhs, lhs_error)] = poisson_weighted_energy(
-        lambda z: evaluate(df, z), order, spec,
-        CircleMeasure.point_mass(cmath.phase(lam)),
+    lhs = dirichlet_weighted(
+        f, CircleMeasure.point_mass(cmath.phase(lam)), order, spec,
+        force_quadrature=True,
     )
     rhs = dirichlet_sigma(quotient, order - 1).value
     return DouglasCertificate(
         alpha=alpha,
         quotient=quotient,
-        lhs=lhs,
+        lhs=lhs.value,
         rhs=rhs,
-        residual=abs(lhs - rhs),
+        residual=abs(lhs.value - rhs),
         order=order,
-        lhs_error=lhs_error,
-        spec=spec,
+        lhs_error=lhs.error_estimate,
+        spec=lhs.spec,
     )
 
 

@@ -41,57 +41,26 @@ class SingularIntegrandError(ArithmeticError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Product-rule parameters and boundary-clipping policy.
-
-    ``clip`` is the innermost boundary gap; refinement halves it
-    ``levels`` times and the clipped values are extrapolated to zero gap.
-    ``clip = 0`` disables clipping entirely (pure full-disc rule), which
-    is the cheap choice for integrands smooth up to the boundary.
-    """
+    """Radial and angular node counts of a product rule on the disc."""
 
     radial: int = 96
     angular: int = 256
-    clip: float = 2.0**-6
-    levels: int = 4
 
     def __post_init__(self):
         if self.radial < 4:
             raise ValueError("need at least 4 radial nodes")
         if self.angular < 8:
             raise ValueError("need at least 8 angular nodes")
-        if not 0.0 <= self.clip < 0.5:
-            raise ValueError("boundary clip must lie in [0, 0.5)")
-        if self.levels < 0:
-            raise ValueError("refinement levels must be non-negative")
 
     def to_json(self) -> dict:
-        return {
-            "radial": self.radial,
-            "angular": self.angular,
-            "clip": self.clip,
-            "levels": self.levels,
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> QuadratureSpec:
-        return cls(
-            radial=int(payload.get("radial", 96)),
-            angular=int(payload.get("angular", 256)),
-            clip=float(payload.get("clip", 2.0**-6)),
-            levels=int(payload.get("levels", 4)),
-        )
+        return {"radial": self.radial, "angular": self.angular}
 
     @classmethod
     def from_csv(cls, text: str) -> QuadratureSpec:
         parts = [p.strip() for p in text.split(",")]
-        if len(parts) != 4:
-            raise ValueError("quadrature spec must be 'radial,angular,clip,levels'")
-        return cls(
-            radial=int(parts[0]),
-            angular=int(parts[1]),
-            clip=float(parts[2]),
-            levels=int(parts[3]),
-        )
+        if len(parts) != 2:
+            raise ValueError("quadrature spec must be 'radial,angular'")
+        return cls(radial=int(parts[0]), angular=int(parts[1]))
 
     @classmethod
     def default(cls) -> QuadratureSpec:
@@ -106,9 +75,8 @@ class QuadratureSpec:
         By the bound in :func:`poisson_weighted_energy` the half grid needs
         ``radial // 2 >= degree`` and ``angular // 2 >= 2 (degree - order)
         + 1``, with its floors of 4 and 8; a vanishing ``f^(order)`` needs
-        nothing beyond the floors.  Clip and levels are the defaults.
-        Where the exact grid would exceed the package default in either
-        dimension, the package default is kept.
+        nothing beyond the floors.  Where the exact grid would exceed the
+        package default in either dimension, the package default is kept.
         """
         spread = degree - order  # the degree of f^(order)
         radial = 2 * max(degree if spread >= 0 else 0, 4)
@@ -153,13 +121,12 @@ def _radial_rule(n: int, outer: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _sample(integrand, z: np.ndarray) -> np.ndarray:
-    try:
-        values = np.asarray(integrand(z), dtype=complex)
-        if values.shape == z.shape:
-            return values
-    except (TypeError, ValueError):
-        pass
-    return np.vectorize(lambda p: complex(integrand(p)))(z)
+    values = np.asarray(integrand(z), dtype=complex)
+    if values.shape != z.shape:
+        raise ValueError(
+            f"integrand returned shape {values.shape} for nodes of shape {z.shape}"
+        )
+    return values
 
 
 def _check_finite(values: np.ndarray, z: np.ndarray) -> None:
@@ -208,8 +175,17 @@ def _extrapolation_weights(
     return tuple(full), tuple(w - c for w, c in zip(full, coarse))
 
 
-def integrate_disc(integrand, spec: QuadratureSpec) -> tuple[complex, float]:
+def integrate_disc(
+    integrand, spec: QuadratureSpec, clip: float = 2.0**-6, levels: int = 4
+) -> tuple[complex, float]:
     """Integrate a black-box integrand against normalized area measure.
+
+    ``integrand`` receives a complex ndarray of nodes and must return an
+    array of the same shape.  ``clip`` is the innermost boundary gap;
+    refinement halves it ``levels`` times and the clipped values are
+    extrapolated to zero gap.  ``clip = 0`` disables clipping entirely
+    (pure full-disc rule), which is the cheap choice for integrands smooth
+    up to the boundary.
 
     Returns the extrapolated value together with an error estimate, the
     difference between the extrapolants built from all levels and from all
@@ -219,17 +195,21 @@ def integrate_disc(integrand, spec: QuadratureSpec) -> tuple[complex, float]:
     extrapolants.  With ``clip = 0`` or ``levels = 0`` no extrapolation
     happens and the estimate degenerates to zero.
     """
-    if spec.clip == 0.0:
+    if not 0.0 <= clip < 0.5:
+        raise ValueError("boundary clip must lie in [0, 0.5)")
+    if levels < 0:
+        raise ValueError("refinement levels must be non-negative")
+    if clip == 0.0:
         return _clipped_product_rule(integrand, spec, 0.0), 0.0
     values = np.array(
         [
-            _clipped_product_rule(integrand, spec, spec.clip * 2.0**-l)
-            for l in range(spec.levels + 1)
+            _clipped_product_rule(integrand, spec, clip * 2.0**-l)
+            for l in range(levels + 1)
         ]
     )
     if len(values) == 1:
         return complex(values[0]), 0.0
-    weights, differences = _extrapolation_weights(spec.levels)
+    weights, differences = _extrapolation_weights(levels)
     value = complex(np.dot(np.array(weights, dtype=float), values))
     estimate = abs(complex(np.dot(np.array(differences, dtype=float), values)))
     return value, estimate

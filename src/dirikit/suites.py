@@ -21,7 +21,6 @@ import numpy as np
 
 from .dirichlet import (
     atomic_decompose,
-    bergman_lift,
     dilation_factor,
     dirichlet_kernel_section,
     dirichlet_sigma,
@@ -44,7 +43,7 @@ from .functions import (
 )
 from .measures import Atom, CircleMeasure, MeasureTuple
 from .operators import defect_kernel_check, defect_sequence
-from .quadrature import QuadratureSpec, poisson_weighted_energy
+from .quadrature import QuadratureSpec
 
 #: Suites that integrate by quadrature and so take a ``spec``.
 _QUADRATURE_SUITES = ("douglas", "tmap", "szego")
@@ -328,12 +327,11 @@ def run_tmap(rec: _Recorder, draws, orders, spec) -> None:
         n = orders[i % len(orders)]
         f = _random_polynomial(rng, zero_below=n - 1)
         angle = _random_angle(rng)
-        lifted = bergman_lift(f, np.exp(1j * angle), n)
-        # the lift is the n-th derivative of (z - lam) f, of degree deg f + 1
-        grid = QuadratureSpec.choose(spec, f.degree + 1, n, f.exact)
-        [(lhs, _)] = poisson_weighted_energy(
-            lambda z: evaluate(lifted, z), n, grid, CircleMeasure.point_mass(angle)
-        )
+        # the quadrature route differentiates (z - lam) f: the lift of f
+        lhs = dirichlet_weighted(
+            times_linear(f, np.exp(1j * angle)), CircleMeasure.point_mass(angle),
+            n, spec, force_quadrature=True,
+        ).value
         rhs = dirichlet_sigma(f, n - 1).value
         record = {"trial": i, "n": n, "degree": f.degree, "atom_angle": angle}
         rec.equality(record, lhs, rhs)

@@ -216,7 +216,7 @@ def test_order_zero_rejected_with_exit_two(square_file, atom_file):
     "argv",
     [
         ["verify", "atomic", "--n", "3"],
-        ["verify", "kernel", "--quad", "16,16,0,0"],
+        ["verify", "kernel", "--quad", "16,16"],
         ["verify", "all", "--n", "2"],
         ["verify", "douglas", "--n", "0"],
         ["verify", "douglas", "--trials", "-3"],
@@ -230,7 +230,7 @@ def test_verify_rejects_ignored_or_invalid_arguments(argv, capsys):
 
 
 def test_verify_all_accepts_quad(capsys):
-    argv = ["verify", "all", "--quad", "96,256,0.015625,4", "--trials", "1"]
+    argv = ["verify", "all", "--quad", "96,256", "--trials", "1"]
     assert main(argv) == 0
     assert len(json.loads(capsys.readouterr().out)) == 11
 
@@ -326,13 +326,13 @@ def test_eval_reports_the_chosen_grid(square_file, atom_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "quadrature"
     assert payload["value"] == pytest.approx(2.0, rel=1e-12)
-    assert payload["quad"] == {"radial": 8, "angular": 16, "clip": 0.015625, "levels": 4}
+    assert payload["quad"] == {"radial": 8, "angular": 16}
 
 
 def test_eval_reports_the_given_grid(square_file, atom_file, capsys):
-    assert _forced_eval(square_file, atom_file, "--quad", "96,256,0.015625,4") == 0
+    assert _forced_eval(square_file, atom_file, "--quad", "96,256") == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["quad"] == {"radial": 96, "angular": 256, "clip": 0.015625, "levels": 4}
+    assert payload["quad"] == {"radial": 96, "angular": 256}
 
 
 def test_exact_route_json_has_no_grid(square_file, atom_file, capsys):
@@ -344,7 +344,7 @@ def test_decompose_reports_its_grid(square_file, capsys):
     assert main(["decompose", "--function", square_file, "--atom", "0.0", "--n", "2"]) == 0
     assert json.loads(capsys.readouterr().out)["quad"]["radial"] == 8
     argv = ["decompose", "--function", square_file, "--atom", "0.0", "--n", "2",
-            "--quad", "96,256,0.015625,4"]
+            "--quad", "96,256"]
     assert main(argv) == 0
     assert json.loads(capsys.readouterr().out)["quad"]["angular"] == 256
 
@@ -361,7 +361,7 @@ def test_the_environment_does_not_move_any_number(
 ):
     # only --quad and a spec argument pick a grid, never the environment
     outputs = []
-    for env in (None, "16,16,0,0"):
+    for env in (None, "16,16"):
         if env is not None:
             monkeypatch.setenv("DIRIKIT_QUAD_DEFAULT", env)
         assert _forced_eval(square_file, atom_file) == 0
@@ -371,18 +371,28 @@ def test_the_environment_does_not_move_any_number(
     assert outputs[0] == outputs[1]
 
 
-def _eval_exit(function_text, measure_text):
-    """Exit code and stderr of ``eval --n 1`` on the given file contents."""
+def _cli_exit(command, files, *extra):
+    """Exit code and stderr of ``main`` on ``command``, given one
+    ``--OPTION PATH`` pair per entry of ``files`` (option -> file
+    contents) and then the ``extra`` arguments."""
     with tempfile.TemporaryDirectory() as tmp:
-        function, measure = Path(tmp) / "f.json", Path(tmp) / "m.json"
-        for path, text in ((function, function_text), (measure, measure_text)):
+        argv = [command]
+        for option, text in files.items():
+            path = Path(tmp) / f"{option}.json"
             path.write_bytes(text if isinstance(text, bytes) else text.encode())
+            argv += [f"--{option}", str(path)]
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(err):
-            code = main(["eval", "--function", str(function),
-                         "--measure", str(measure), "--n", "1"])
+            code = main(argv + list(extra))
     return code, err.getvalue()
+
+
+def _eval_exit(function_text, measure_text):
+    """Exit code and stderr of ``eval --n 1`` on the given file contents."""
+    return _cli_exit(
+        "eval", {"function": function_text, "measure": measure_text}, "--n", "1"
+    )
 
 
 ATOM = '{"atoms": [{"angle": 0.0, "mass": 1.0}], "lebesgue": 0.0}'
@@ -453,3 +463,83 @@ def test_any_coefficient_list_ends_in_a_result_or_an_error(coeffs):
     code, err = _eval_exit(json.dumps({"coeffs": coeffs}), ATOM)
     assert code in (0, 2)
     assert (err == "") if code == 0 else err.startswith("error:")
+
+
+ONE_ATOM_TUPLE = '{"entries": [%s]}' % ATOM
+
+
+@pytest.mark.parametrize(
+    "command, files, extra",
+    [
+        # |1e200|^2 overflows a Python float inside the coefficient series
+        ("defects", {"function": '{"coeffs": [[1e200, 0], [1e200, 0], [1, 0]]}',
+                     "measures": ONE_ATOM_TUPLE}, []),
+        # the Gram entries of a mass of 1e308 overflow to inf
+        ("gram", {"measures": ONE_ATOM_TUPLE.replace('"mass": 1.0', '"mass": 1e308')},
+         ["--degree", "3"]),
+    ],
+    ids=["defects-overflow", "gram-inf"],
+)
+def test_an_overflowing_result_exits_two(command, files, extra):
+    code, err = _cli_exit(command, files, *extra)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_the_four_field_quad_form_exits_two(square_file, capsys):
+    argv = ["decompose", "--function", square_file, "--atom", "0.0", "--n", "2",
+            "--quad", "32,64,0,0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: bad --quad value: quadrature spec must be 'radial,angular'\n"
+    )
+
+
+tuple_values = json_values | st.lists(json_values, max_size=3).map(
+    lambda entries: {"entries": entries}
+)
+#: Short text, so no parse yields a grid too large to sample quickly,
+#: next to well-formed pairs and the four-field form.
+quad_texts = (
+    st.text(max_size=5)
+    | st.text(alphabet="0123456789,.-+e ", max_size=5)
+    | st.tuples(st.integers(-3, 40), st.integers(-3, 80)).map("{0[0]},{0[1]}".format)
+    | st.just("32,64,0,0")
+)
+
+
+def _result_or_error(code, err):
+    assert code in (0, 2)
+    assert (err == "") if code == 0 else err.startswith("error:")
+
+
+@given(tuple_values, st.integers(-1, 4))
+@settings(max_examples=40, deadline=None)
+def test_any_measure_tuple_file_ends_in_a_gram_section_or_an_error(measures, degree):
+    _result_or_error(*_cli_exit(
+        "gram", {"measures": json.dumps(measures)}, "--degree", str(degree)
+    ))
+
+
+@given(json_values, tuple_values)
+@settings(max_examples=40, deadline=None)
+def test_any_function_and_tuple_file_ends_in_a_defect_report_or_an_error(
+    function, measures
+):
+    _result_or_error(*_cli_exit(
+        "defects",
+        {"function": json.dumps(function), "measures": json.dumps(measures)},
+        "--max-order", "3",
+    ))
+
+
+@given(json_values | st.just({"coeffs": [[0, 0], [0, 0], [1, 0]]}), quad_texts)
+@settings(max_examples=60, deadline=None)
+def test_any_function_file_and_quad_text_end_in_a_certificate_or_an_error(
+    function, quad
+):
+    # --quad=TEXT, so a text that starts with '-' is not taken for an option
+    _result_or_error(*_cli_exit(
+        "decompose", {"function": json.dumps(function)},
+        "--atom", "0.5", "--n", "1", f"--quad={quad}",
+    ))

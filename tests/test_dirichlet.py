@@ -487,7 +487,7 @@ def test_multiplier_inequality_counterexample():
 
 def test_lower_derivative_integrals_finite():
     # order-j derivatives below n stay integrable against the local weight
-    spec = QuadratureSpec(radial=48, angular=128, clip=2.0**-5, levels=2)
+    spec = QuadratureSpec(radial=48, angular=128)
     rng = np.random.default_rng(5)
     for _ in range(5):
         degree = int(rng.integers(2, 8))
@@ -507,7 +507,7 @@ def test_lower_derivative_integrals_finite():
                         * (1.0 - np.abs(z) ** 2) ** (n - 1)
                     )
 
-                value, _ = integrate_disc(integrand, spec)
+                value, _ = integrate_disc(integrand, spec, clip=2.0**-5, levels=2)
                 assert math.isfinite(value.real)
 
 

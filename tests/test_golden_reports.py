@@ -36,11 +36,11 @@ CASES = {
     ],
     "golden-verify-douglas.json": [
         "verify", "douglas", "--trials", "40", "--seed", "7", "--tol", "-1",
-        "--quad", "32,64,0,0",
+        "--quad", "32,64",
     ],
     "golden-verify-tmap.json": [
         "verify", "tmap", "--trials", "24", "--seed", "5", "--tol", "-1",
-        "--quad", "32,64,0,0",
+        "--quad", "32,64",
     ],
 }
 #: Cases whose reports list failures on purpose.

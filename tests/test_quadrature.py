@@ -24,22 +24,26 @@ def test_spec_validation():
         QuadratureSpec(radial=2)
     with pytest.raises(ValueError):
         QuadratureSpec(angular=4)
-    with pytest.raises(ValueError):
-        QuadratureSpec(clip=0.7)
-    with pytest.raises(ValueError):
-        QuadratureSpec(levels=-1)
+    # the clip and the levels are integrate_disc's own arguments
+    ones = lambda z: np.ones_like(z)
+    with pytest.raises(ValueError, match="boundary clip"):
+        integrate_disc(ones, QuadratureSpec(), clip=0.7)
+    with pytest.raises(ValueError, match="refinement levels"):
+        integrate_disc(ones, QuadratureSpec(), levels=-1)
 
 
 def test_spec_json_round_trip():
-    spec = QuadratureSpec(radial=32, angular=64, clip=0.01, levels=2)
-    assert QuadratureSpec.from_json(spec.to_json()) == spec
+    spec = QuadratureSpec(radial=32, angular=64)
+    assert spec.to_json() == {"radial": 32, "angular": 64}
+    assert QuadratureSpec(**spec.to_json()) == spec
 
 
 def test_spec_csv():
-    spec = QuadratureSpec.from_csv("48, 128, 0.03125, 3")
-    assert spec == QuadratureSpec(48, 128, 0.03125, 3)
-    with pytest.raises(ValueError):
-        QuadratureSpec.from_csv("48,128")
+    spec = QuadratureSpec.from_csv("48, 128")
+    assert spec == QuadratureSpec(48, 128)
+    for text in ("48,128,0.03125,3", "48"):
+        with pytest.raises(ValueError, match="'radial,angular'"):
+            QuadratureSpec.from_csv(text)
 
 
 def test_normalization():
@@ -63,26 +67,31 @@ def test_weighted_bergman_normalization():
 
 def test_monomial_integrals_with_clipping():
     # deep refinement makes the clip extrapolation exact for these degrees
-    spec = QuadratureSpec(radial=96, angular=64, clip=2.0**-6, levels=10)
+    spec = QuadratureSpec(radial=96, angular=64)
     for a in range(0, 13, 3):
         for b in range(0, 13, 3):
-            value, _ = integrate_disc(lambda z: z**a * np.conj(z) ** b, spec)
+            value, _ = integrate_disc(
+                lambda z: z**a * np.conj(z) ** b, spec, clip=2.0**-6, levels=10
+            )
             expected = 1.0 / (a + 1) if a == b else 0.0
             assert abs(value - expected) <= 1e-12
 
 
 def test_monomial_integrals_full_disc():
     # clip = 0 integrates the full disc; rule is exact for band-limited input
-    spec = QuadratureSpec(radial=32, angular=64, clip=0.0, levels=0)
+    spec = QuadratureSpec(radial=32, angular=64)
     for a in range(0, 13, 4):
-        value, estimate = integrate_disc(lambda z: z**a * np.conj(z) ** a, spec)
+        value, estimate = integrate_disc(
+            lambda z: z**a * np.conj(z) ** a, spec, clip=0.0, levels=0
+        )
         assert abs(value - 1.0 / (a + 1)) <= 1e-14
         assert estimate == 0.0
 
 
 def test_monotone_error_estimates_on_smooth_battery():
-    base = QuadratureSpec(48, 64, 2.0**-6, 4)
-    doubled = QuadratureSpec(96, 128, 2.0**-6, 4)
+    # integrate_disc's default clip 2^-6 and 4 levels
+    base = QuadratureSpec(48, 64)
+    doubled = QuadratureSpec(96, 128)
     battery = [
         lambda z: np.ones_like(z),
         lambda z: np.abs(z) ** 2,
@@ -122,9 +131,16 @@ def test_singular_integrand_identifies_node():
     assert abs(info.value.node) < 0.5
 
 
-def test_scalar_callable_fallback():
-    value, _ = integrate_disc(lambda z: abs(z) ** 2, QuadratureSpec(16, 32, 0.0, 0))
+def test_integrand_must_return_the_shape_of_its_nodes():
+    spec = QuadratureSpec(16, 32)
+    value, _ = integrate_disc(lambda z: abs(z) ** 2, spec, clip=0.0, levels=0)
     assert value == pytest.approx(0.5, abs=1e-13)
+    # an integrand is called once on the whole node array, never per point
+    for integrand in (lambda z: 1.0, lambda z: np.abs(z).ravel()):
+        with pytest.raises(ValueError, match="integrand returned shape"):
+            integrate_disc(integrand, spec)
+        with pytest.raises(ValueError, match="integrand returned shape"):
+            poisson_weighted_energy(integrand, 1, spec)
 
 
 def test_poisson_weighted_energy_against_series():
@@ -216,7 +232,6 @@ def test_polynomial_grid_and_its_half_grid_are_exact():
             assert radial >= degree
             assert angular >= 2 * (degree - order) + 1
             assert spec.radial <= 96 and spec.angular <= 256
-            assert (spec.clip, spec.levels) == (QuadratureSpec.clip, QuadratureSpec.levels)
 
 
 def test_polynomial_grid_is_the_smallest_with_an_exact_half_grid():
@@ -236,7 +251,7 @@ def test_polynomial_grid_never_exceeds_the_default():
 
 
 def test_choose_honors_a_given_spec_then_the_degree():
-    given = QuadratureSpec(16, 16, 0.0, 0)
+    given = QuadratureSpec(16, 16)
     assert QuadratureSpec.choose(given, 3, 1, True) is given
     assert QuadratureSpec.choose(None, 3, 1, True) == QuadratureSpec.for_polynomial(3, 1)
     # a truncation keeps the package default
@@ -273,8 +288,8 @@ def test_radial_nodes_must_reach_the_degree_of_f():
     coeffs = rng.uniform(-1, 1, 13) + 1j * rng.uniform(-1, 1, 13)
     atom = CircleMeasure.point_mass(1.3)
     exact = dirichlet_weighted(AnalyticFunction(tuple(coeffs)), atom, 4).value
-    short, _ = _energy_of_derivative(coeffs, 4, QuadratureSpec(10, 64, 0.0, 0), atom)
-    enough, _ = _energy_of_derivative(coeffs, 4, QuadratureSpec(12, 64, 0.0, 0), atom)
+    short, _ = _energy_of_derivative(coeffs, 4, QuadratureSpec(10, 64), atom)
+    enough, _ = _energy_of_derivative(coeffs, 4, QuadratureSpec(12, 64), atom)
     assert abs(short - exact) > 1e-10 * exact
     assert abs(enough - exact) <= 1e-10 * exact
 
@@ -288,7 +303,7 @@ def test_error_estimate_covers_real_grid_error():
     atom = CircleMeasure.point_mass(0.4)
     exact = dirichlet_weighted(AnalyticFunction(tuple(coeffs)), atom, 1).value
     value, estimate = _energy_of_derivative(
-        coeffs, 1, QuadratureSpec.from_csv("32,32,0,0"), atom
+        coeffs, 1, QuadratureSpec.from_csv("32,32"), atom
     )
     assert estimate >= abs(value - exact)
     assert estimate > 1e-6 * exact

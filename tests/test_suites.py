@@ -100,7 +100,7 @@ def test_runners_are_looked_up_in_the_registry_at_call_time(monkeypatch):
         monkeypatch.setitem(SUITES, name, fake)
     assert run_suite("atomic", trials=3) == "atomic"
     assert calls["atomic"]["trials"] == 3
-    spec = QuadratureSpec(32, 64, 0.0, 0)
+    spec = QuadratureSpec(32, 64)
     assert run_all(seed=7, spec=spec) == list(SUITES)
     assert {name for name, kw in calls.items() if kw["spec"] is not None} == {
         "douglas",
