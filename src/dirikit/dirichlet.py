@@ -20,12 +20,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .functions import (
     AnalyticFunction,
     BoundaryStatus,
+    _divide_by_roots,
     boundary_value,
     derivative,
     divide_by_root,
@@ -109,6 +111,47 @@ class AtomicDecomposition:
     residual: float
 
 
+@lru_cache(maxsize=256)
+def _binomial_row(order: int, length: int) -> np.ndarray:
+    """Read-only floats binom(k, order) for k < length, zero below order.
+
+    Each entry is the integer rounded once, as ``int * float`` rounds it.
+    """
+    row = np.array([float(math.comb(k, order)) for k in range(length)])
+    row.setflags(write=False)
+    return row
+
+
+def _sigma_sums(coeffs: np.ndarray, order: int) -> list[float]:
+    """Coefficient series sum_k binom(k, order) |c_k|^2, one per column.
+
+    Row k of ``coeffs`` holds c_k, a number or one per column.  The
+    floats are those of a Python loop over ``abs(c) ** 2``: ``hypot``,
+    then one ``pow`` (numpy's ``abs`` and ``square`` round differently),
+    and the terms are added in index order (``add.accumulate``; ``sum``
+    would add pairwise).  A square beyond the float range raises
+    ``OverflowError``.
+    """
+    tail = coeffs[order:]
+    if len(tail) == 0:
+        return [0.0] * np.size(coeffs[0])
+    weights = _binomial_row(order, len(coeffs))[order:]
+    if tail.ndim > 1:
+        weights = weights[:, None]
+    with np.errstate(over="ignore"):
+        squares = np.float_power(np.hypot(tail.real, tail.imag), 2.0)
+        sums = np.add.accumulate(weights * squares)[-1:].ravel().tolist()
+    # the weights are at least 1, so an infinite square makes its sum inf
+    if math.inf in sums:
+        rows = np.nonzero(np.isinf(squares))[0]
+        if rows.size:
+            raise OverflowError(
+                f"overflow in the order-{order} coefficient series: "
+                f"|c_{order + rows.min()}|^2 exceeds the float range"
+            )
+    return sums
+
+
 def dirichlet_sigma(f: AnalyticFunction, order: int) -> DirichletResult:
     """Arc-length Dirichlet-type integral via the coefficient series.
 
@@ -117,10 +160,7 @@ def dirichlet_sigma(f: AnalyticFunction, order: int) -> DirichletResult:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    total = 0.0
-    for k, c in enumerate(f.coeffs.tolist()):
-        if k >= order:
-            total += math.comb(k, order) * abs(c) ** 2
+    (total,) = _sigma_sums(f.coeffs, order)
     return DirichletResult(total, "series", 0.0, order)
 
 
@@ -135,14 +175,6 @@ def dirichlet_sigma_inner(
     return total
 
 
-def _atom_decomposition_value(
-    f: AnalyticFunction, point: complex, order: int
-) -> float:
-    alpha = evaluate(f, point)
-    quotient = divide_by_root(f, point, alpha)
-    return dirichlet_sigma(quotient, order - 1).value
-
-
 def dirichlet_weighted(
     f: AnalyticFunction,
     measure: CircleMeasure,
@@ -154,8 +186,9 @@ def dirichlet_weighted(
 
     The measure splits into its arc-length multiple and its atoms and the
     parts add up, arc length first.  Exact polynomials take the
-    decomposition route per atom and the coefficient series for the
-    arc-length part.  Truncations integrate their atoms numerically, and
+    decomposition route, one division and one coefficient series for all
+    atoms of the measure, and the coefficient series for the arc-length
+    part.  Truncations integrate their atoms numerically, and
     ``force_quadrature`` integrates every part numerically; the numerical
     parts come from one ``poisson_weighted_energy`` call, on the grid
     :meth:`QuadratureSpec.choose` picks from ``spec``, the degree of f
@@ -183,8 +216,16 @@ def dirichlet_weighted(
                 error += est
             return DirichletResult(total, "quadrature", error, order, spec)
     elif measure.atoms:
-        for atom in measure.atoms:
-            total += atom.mass * _atom_decomposition_value(f, atom.point, order)
+        # the local Douglas formula at every atom at once: column j is the
+        # quotient (f - f(lam_j)) / (z - lam_j), integrated one order down
+        points = np.array([atom.point for atom in measure.atoms])
+        # a lone atom steps on numpy scalars, about ten times faster than
+        # on one-element arrays
+        roots = points[0] if len(points) == 1 else points
+        quotients, _ = _divide_by_roots(f, roots, evaluate(f, roots))
+        values = _sigma_sums(quotients, order - 1)
+        for atom, value in zip(measure.atoms, values):
+            total += atom.mass * value
         method = "decomposition"
     return DirichletResult(total, method, error, order)
 

@@ -203,25 +203,52 @@ def divide_by_root(
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-9:
         raise ValueError("division point must lie on the unit circle")
-    a = f.coeffs
-    n = len(a) - 1
-    if n == 0:
-        g = AnalyticFunction((0.0,), f.exact)
-        residue = abs(a[0] - alpha)
-    else:
-        out = np.empty(n, dtype=complex)
-        out[0] = (alpha - a[0]) / lam
-        for k in range(1, n):
-            out[k] = (out[k - 1] - a[k]) / lam
-        residue = abs(out[n - 1] - a[n])
-        g = AnalyticFunction(out, f.exact)
-    if f.exact and residue > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
-        raise InexactDivisionError(
-            f"inexact division: remainder {residue:.3e} at lam={lam}"
-        )
+    out, residue = _divide_by_roots(f, np.complex128(lam), alpha)
+    g = AnalyticFunction(out, f.exact)
     if return_residue:
         return g, residue
     return g
+
+
+def _divide_by_roots(f: AnalyticFunction, lams, alphas):
+    """Synthetic division of f - alpha by z - lam for one root or many.
+
+    ``lams`` is a numpy complex scalar or a 1-D array of unimodular
+    roots, and ``alphas`` holds the matching values.  Row k of the
+    returned quotient holds g_k, with one column per root (none for a
+    scalar root); a constant f has the single row g_0 = 0.  The residues
+    |g_(N-1) - a_N| of :func:`divide_by_root` come back alongside.
+
+    Every column runs the float operations of a one-root division,
+    numpy's complex division from the constant term upward, so columns
+    match one-root calls bit for bit.  A non-finite quotient raises
+    ``ValueError``, as building it would; an exact f with a residue
+    above the tolerance raises :class:`InexactDivisionError` naming the
+    root with the largest one.
+    """
+    a = f.coeffs
+    # numpy arithmetic throughout, even for a Python complex alpha
+    prev = np.asarray(alphas, dtype=complex)[()]
+    rows = []
+    for c in a[:-1].tolist():
+        prev = (prev - c) / lams
+        rows.append(prev)
+    # g_(-1) = alpha: a constant f leaves the residue |alpha - a_0|
+    gap = prev - a[-1]
+    residues = np.hypot(gap.real, gap.imag)
+    out = np.array(rows) if rows else np.zeros((1, *np.shape(lams)), dtype=complex)
+    if not np.isfinite(out).all():
+        raise ValueError("coefficients must be finite")
+    if f.exact:
+        worst = int(np.argmax(residues))
+        residue = np.ravel(residues)[worst]
+        # the tolerance is at least 1e-9, so most divisions skip building it
+        if residue > 1e-9 and residue > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
+            raise InexactDivisionError(
+                f"inexact division: remainder {residue:.3e} "
+                f"at lam={complex(np.ravel(lams)[worst])}"
+            )
+    return out, residues
 
 
 def boundary_value(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import (
+    _binomial_row,
     dirichlet_atomic_order_zero,
     dirichlet_sigma,
     dirichlet_weighted,
@@ -92,13 +93,10 @@ def _atom_pair_matrix(angle: float, order: int, degree: int) -> np.ndarray:
     the order-(n-1) arc-length pairing of g_j with g_k.
     """
     lam = complex(np.exp(1j * angle))
-    basis = np.zeros((degree + 1, degree), dtype=complex)
-    for k in range(1, degree + 1):
-        basis[k, :k] = lam ** np.arange(k - 1, -1, -1)
-    weights = np.array(
-        [math.comb(t, order - 1) if t >= order - 1 else 0 for t in range(degree)],
-        dtype=float,
-    )
+    powers = lam ** np.arange(degree)
+    exponents = np.arange(degree + 1)[:, None] - 1 - np.arange(degree)
+    basis = np.where(exponents >= 0, powers[np.maximum(exponents, 0)], 0)
+    weights = _binomial_row(order - 1, degree)
     return (basis * weights) @ basis.conj().T
 
 
@@ -115,11 +113,7 @@ def gram_section(measures: MeasureTuple, degree: int) -> GramSection:
     matrix = np.eye(size, dtype=complex)
     for j, measure in enumerate(measures.entries, start=1):
         if measure.lebesgue > 0:
-            diag = np.array(
-                [math.comb(k, j) if k >= j else 0 for k in range(size)],
-                dtype=float,
-            )
-            matrix += measure.lebesgue * np.diag(diag)
+            matrix += measure.lebesgue * np.diag(_binomial_row(j, size))
         for atom in measure.atoms:
             matrix += atom.mass * _atom_pair_matrix(atom.angle, j, degree)
     return GramSection(measures, degree, matrix)

@@ -237,7 +237,13 @@ def _poisson_energies_on_grid(
     r, wr, z, freqs, kernel = _poisson_grid(radial, angular)
     samples = _sample(values_fn, z)
     _check_finite(samples, z)
-    squares = np.abs(samples) ** 2
+    with np.errstate(over="ignore"):
+        squares = np.abs(samples) ** 2
+    overflow = np.isinf(squares)
+    if overflow.any():
+        raise OverflowError(
+            f"overflow: |h|^2 exceeds the float range at node {z[overflow][0]}"
+        )
     profiles = []
     if measure.lebesgue > 0:
         profiles.append(squares.mean(axis=1))

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -484,6 +485,34 @@ def test_an_overflowing_result_exits_two(command, files, extra):
     code, err = _cli_exit(command, files, *extra)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+HUGE = '{"coeffs": [[1e200, 0], [1e200, 0], [1, 0]]}'
+
+
+@pytest.mark.parametrize(
+    "command, files, extra, message",
+    [
+        # the quotient at the atom has g_0 = 1e200, squared one order down
+        ("eval", {"function": HUGE, "measure": ATOM}, ["--n", "1"],
+         "error: overflow in the order-0 coefficient series: "
+         "|c_0|^2 exceeds the float range\n"),
+        # the Hardy part of the tuple norm squares a_0 = 1e200
+        ("defects", {"function": HUGE, "measures": ONE_ATOM_TUPLE}, [],
+         "error: overflow in the order-0 coefficient series: "
+         "|c_0|^2 exceeds the float range\n"),
+        ("eval", {"function": HUGE, "measure": ATOM},
+         ["--n", "1", "--force-quadrature"],
+         "error: overflow: |h|^2 exceeds the float range at node "),
+    ],
+    ids=["eval-exact", "defects", "eval-quadrature"],
+)
+def test_an_overflowing_square_is_named_without_a_warning(command, files, extra, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _cli_exit(command, files, *extra)
+    assert code == 2
+    assert err.startswith(message)
 
 
 def test_the_four_field_quad_form_exits_two(square_file, capsys):

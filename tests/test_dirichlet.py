@@ -662,3 +662,59 @@ def test_exact_route_builds_no_quadrature_spec(monkeypatch):
     assert "quad" not in result.to_json()
     truncated = AnalyticFunction(f.coeffs, False)
     assert dirichlet_weighted(truncated, CircleMeasure.arc_length(), 2).spec is None
+
+
+def _per_atom_decomposition(f, measure, order):
+    """The decomposition route one atom at a time: Horner on a 0-d point,
+    the division recurrence on numpy scalars, then a Python loop over
+    ``abs(c) ** 2``."""
+
+    def series(coeffs, n):
+        total = 0.0
+        for k, c in enumerate(coeffs):
+            if k >= n:
+                total += math.comb(k, n) * abs(c) ** 2
+        return total
+
+    total = measure.lebesgue * series(f.coeffs.tolist(), order)
+    for atom in measure.atoms:
+        lam = np.complex128(atom.point)
+        # numpy's scalar complex product rounds unlike its array product
+        alpha, point = np.zeros((), dtype=complex), np.asarray(lam)
+        for c in reversed(f.coeffs.tolist()):
+            alpha = alpha * point + c
+        quotient, prev = [], alpha
+        for c in f.coeffs.tolist()[:-1]:
+            prev = (prev - c) / lam
+            quotient.append(complex(prev))
+        total += atom.mass * series(quotient, order - 1)
+    return total
+
+
+def test_batched_decomposition_matches_a_per_atom_reference_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    for degree in range(41):
+        for _ in range(8):
+            f = AnalyticFunction(
+                (rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1))
+                * 10.0 ** rng.integers(-3, 4)
+            )
+            atoms = tuple(
+                Atom(float(rng.uniform(-math.pi, math.pi)), float(rng.uniform(0.1, 2)))
+                for _ in range(rng.integers(1, 9))
+            )
+            measure = CircleMeasure(atoms, float(rng.choice([0.0, 0.7])))
+            order = int(rng.integers(1, 6))
+            result = dirichlet_weighted(f, measure, order)
+            assert result.method == "decomposition"
+            expected = _per_atom_decomposition(f, measure, order)
+            assert result.value.hex() == expected.hex(), (degree, len(atoms), order)
+
+
+def test_an_overflowing_square_names_its_coefficient_and_order():
+    f = AnalyticFunction((1.0, 1e200, 1.0))
+    with pytest.raises(OverflowError, match=r"order-1 coefficient series: \|c_1\|\^2"):
+        dirichlet_sigma(f, 1)
+    # below the order nothing is squared; a finite sum of huge terms stays inf
+    assert dirichlet_sigma(AnalyticFunction((1e200, 1.0)), 1).value == 1.0
+    assert dirichlet_sigma(AnalyticFunction((0.0, 1e154, 1e154)), 1).value == math.inf

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirikit.functions import times_linear
+from dirikit.functions import _divide_by_roots, times_linear
 
 from dirikit import (
     AnalyticFunction,
@@ -141,6 +141,29 @@ def test_divide_by_root_szego_truncation():
 def test_divide_by_root_flags_inexact():
     with pytest.raises(InexactDivisionError):
         divide_by_root(AnalyticFunction((0, 0, 1.0)), 1.0, 0.5)
+
+
+def test_divide_by_roots_columns_are_one_root_divisions():
+    f = AnalyticFunction((0.5, -1j, 2.0, 0.25 + 1j))
+    lams = np.exp(1j * np.array([0.3, 2.0, -1.4]))
+    alphas = evaluate(f, lams)
+    quotients, residues = _divide_by_roots(f, lams, alphas)
+    for j, lam in enumerate(lams):
+        g, residue = divide_by_root(f, lam, alphas[j], return_residue=True)
+        assert np.array_equal(quotients[:, j], g.coeffs)
+        assert residues[j] == residue
+    # a constant has the zero quotient at every root
+    quotients, _ = _divide_by_roots(AnalyticFunction((3.0,)), lams, np.full(3, 3.0))
+    assert quotients.tolist() == [[0j, 0j, 0j]]
+
+
+def test_divide_by_roots_names_the_root_it_cannot_divide_by():
+    f = AnalyticFunction((0, 0, 1.0))
+    lams = np.array([1.0, -1.0, 1j])
+    with pytest.raises(InexactDivisionError, match=r"remainder 5\.000e-01 at lam=\(-1"):
+        _divide_by_roots(f, lams, np.array([1.0, 0.5, -1.0]))
+    with pytest.raises(ValueError, match="coefficients must be finite"):
+        _divide_by_roots(f, lams, np.array([1.0, np.nan, -1.0]))
 
 
 @given(polys, st.floats(0.0, 2 * math.pi))

@@ -16,6 +16,7 @@ from dirikit import (
     gram_section,
     tuple_norm_sq,
 )
+from dirikit.operators import _atom_pair_matrix
 
 
 def mono(k):
@@ -219,3 +220,19 @@ def test_gram_quadratic_form_is_tuple_norm():
     assert form.real == pytest.approx(norm, rel=1e-12)
     assert abs(form.imag) < 1e-12 * norm
     assert abs((a.conj() @ matrix @ a).real - norm) > 1.0
+
+
+def test_atom_pair_matrix_matches_the_row_by_row_basis():
+    for degree in (1, 2, 7, 24, 40):
+        for order in (1, 2, 4):
+            angle = 0.37 * degree - 1.1 * order
+            lam = complex(np.exp(1j * angle))
+            basis = np.zeros((degree + 1, degree), dtype=complex)
+            for k in range(1, degree + 1):
+                basis[k, :k] = lam ** np.arange(k - 1, -1, -1)
+            weights = np.array(
+                [math.comb(t, order - 1) if t >= order - 1 else 0 for t in range(degree)],
+                dtype=float,
+            )
+            expected = (basis * weights) @ basis.conj().T
+            assert np.array_equal(_atom_pair_matrix(angle, order, degree), expected)
