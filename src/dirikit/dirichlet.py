@@ -26,8 +26,8 @@ import numpy as np
 
 from .functions import (
     AnalyticFunction,
-    BoundaryStatus,
     _divide_by_roots,
+    _values_on_circle,
     boundary_value,
     derivative,
     divide_by_root,
@@ -37,10 +37,6 @@ from .functions import (
 from .measures import CircleMeasure
 from .measures import szego_potential as _szego_potential
 from .quadrature import QuadratureSpec, poisson_weighted_energy
-
-
-class BoundaryDivergenceError(ArithmeticError):
-    """A required boundary value does not exist for this function."""
 
 
 @dataclass(frozen=True)
@@ -222,7 +218,7 @@ def dirichlet_weighted(
         # a lone atom steps on numpy scalars, about ten times faster than
         # on one-element arrays
         roots = points[0] if len(points) == 1 else points
-        quotients, _ = _divide_by_roots(f, roots, evaluate(f, roots))
+        quotients, _ = _divide_by_roots(f, roots, _values_on_circle(f, roots))
         values = _sigma_sums(quotients, order - 1)
         for atom, value in zip(measure.atoms, values):
             total += atom.mass * value
@@ -242,13 +238,7 @@ def dirichlet_atomic_order_zero(
         raise ValueError("order-zero path requires a purely atomic measure")
     total = 0.0
     for atom in measure.atoms:
-        value, status = boundary_value(f, atom.point)
-        if status is BoundaryStatus.DIVERGENT:
-            raise BoundaryDivergenceError(
-                "order-zero integral undefined: divergent boundary value "
-                f"at angle {atom.angle:.6f}"
-            )
-        total += atom.mass * abs(value) ** 2
+        total += atom.mass * abs(boundary_value(f, atom.point)) ** 2
     return DirichletResult(total, "decomposition", 0.0, 0)
 
 
@@ -268,11 +258,7 @@ def douglas_decompose(
     if order < 1:
         raise ValueError("order must be a positive integer")
     lam = complex(boundary_point)
-    alpha, status = boundary_value(f, lam)
-    if status is BoundaryStatus.DIVERGENT:
-        raise BoundaryDivergenceError(
-            "no decomposition: divergent boundary value at this point"
-        )
+    alpha = boundary_value(f, lam)
     quotient = divide_by_root(f, lam, alpha)
     lhs = dirichlet_weighted(
         f, CircleMeasure.point_mass(cmath.phase(lam)), order, spec,
@@ -385,14 +371,6 @@ def local_bergman_kernel_series(
     return scale * (z - lam) * (w.conjugate() - lam.conjugate()) * series
 
 
-def szego_kernel_truncation(w: complex, degree: int) -> AnalyticFunction:
-    """Degree-``degree`` truncation of 1 / (1 - z conj(w))."""
-    w = complex(w)
-    return AnalyticFunction(
-        [w.conjugate() ** k for k in range(degree + 1)], False
-    )
-
-
 def szego_kernel_energy(
     w: complex, measure: CircleMeasure, order: int
 ) -> float:
@@ -422,10 +400,7 @@ def dilation_factor(r: float, order: int) -> float:
 def _lagrange_interpolant(
     points: list[complex], values: list[complex]
 ) -> AnalyticFunction:
-    k = len(points)
-    coeffs = np.zeros(max(k, 1), dtype=complex)
-    if k == 0:
-        return AnalyticFunction((0.0,))
+    coeffs = np.zeros(len(points), dtype=complex)
     for j, (pj, vj) in enumerate(zip(points, values)):
         basis = np.array([1.0 + 0.0j])
         denom = 1.0 + 0.0j
@@ -439,7 +414,7 @@ def _lagrange_interpolant(
 
 
 def atomic_decompose(
-    f: AnalyticFunction, atom_angles: list[float], order: int
+    f: AnalyticFunction, atom_angles: list[float]
 ) -> AtomicDecomposition:
     """Split f into an interpolant plus a multiple of prod(z - atom_j).
 
@@ -453,24 +428,13 @@ def atomic_decompose(
     points = [cmath.exp(1j * a) for a in atom_angles]
     if len(set(atom_angles)) != len(atom_angles):
         raise ValueError("atom angles must be distinct")
-    values = []
-    for point, angle in zip(points, atom_angles):
-        value, status = boundary_value(f, point)
-        if status is BoundaryStatus.DIVERGENT:
-            raise BoundaryDivergenceError(
-                "no decomposition: divergent boundary value at angle "
-                f"{angle:.6f}"
-            )
-        values.append(value)
+    values = [boundary_value(f, point) for point in points]
     interpolant = _lagrange_interpolant(points, values)
-    remainder = f + (-1.0) * interpolant
-    quotient = remainder
+    quotient = f + (-1.0) * interpolant
     for point in points:
         # the remaining value at the root is interpolation roundoff; fold
         # it into the division rather than tripping the exactness check
-        quotient = divide_by_root(
-            quotient, point, evaluate(quotient, point)
-        )
+        quotient = divide_by_root(quotient, point, evaluate(quotient, point))
     rebuilt = quotient
     for point in points:
         rebuilt = times_linear(rebuilt, point)

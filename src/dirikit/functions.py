@@ -10,7 +10,6 @@ instances can be shared freely between workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -26,16 +25,12 @@ _BOUNDARY_RADII_EXPONENTS = range(3, 13)
 _DIVERGENCE_THRESHOLD = 1e8
 
 
-class BoundaryStatus(str, Enum):
-    """How a boundary value was obtained."""
-
-    EXACT = "exact"
-    EXTRAPOLATED = "extrapolated"
-    DIVERGENT = "divergent"
-
-
 class InexactDivisionError(ArithmeticError):
     """Raised when dividing an exact polynomial by a non-root factor."""
+
+
+class BoundaryDivergenceError(ArithmeticError):
+    """A required boundary value does not exist for this function."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,6 +124,17 @@ def evaluate(f: AnalyticFunction, z):
     return acc
 
 
+def _values_on_circle(f: AnalyticFunction, lams):
+    """:func:`evaluate` at unimodular points; a value beyond the float
+    range raises ``OverflowError`` naming its point, not numpy warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = evaluate(f, lams)
+    if not np.isfinite(values).all():
+        lam = np.ravel(lams)[~np.isfinite(np.ravel(values))][0]
+        raise OverflowError(f"the value of f at lam={lam:.6f} exceeds the float range")
+    return values
+
+
 def derivative(f: AnalyticFunction, order: int = 1) -> AnalyticFunction:
     """Formal ``order``-th derivative; degrees below ``order`` drop out."""
     if order < 0:
@@ -185,11 +191,8 @@ def times_linear(f: AnalyticFunction, root: complex) -> AnalyticFunction:
 
 
 def divide_by_root(
-    f: AnalyticFunction,
-    lam: complex,
-    alpha: complex,
-    return_residue: bool = False,
-):
+    f: AnalyticFunction, lam: complex, alpha: complex
+) -> AnalyticFunction:
     """Solve (z - lam) * g = f - alpha for the truncated series g.
 
     The coefficients are produced from the constant term upward, so each
@@ -197,17 +200,14 @@ def divide_by_root(
     unsatisfied top equation.  For a unimodular lam that residue equals
     |f(lam) - alpha| exactly, and it vanishes when alpha is the value of an
     exact polynomial at lam.  Exact inputs with a non-zero residue raise
-    :class:`InexactDivisionError`; truncations keep the division and report
-    the residue when asked.
+    :class:`InexactDivisionError`; truncations keep the division, and
+    :func:`_divide_by_roots` returns the residue as well.
     """
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-9:
         raise ValueError("division point must lie on the unit circle")
-    out, residue = _divide_by_roots(f, np.complex128(lam), alpha)
-    g = AnalyticFunction(out, f.exact)
-    if return_residue:
-        return g, residue
-    return g
+    out, _ = _divide_by_roots(f, np.complex128(lam), alpha)
+    return AnalyticFunction(out, f.exact)
 
 
 def _divide_by_roots(f: AnalyticFunction, lams, alphas):
@@ -251,28 +251,29 @@ def _divide_by_roots(f: AnalyticFunction, lams, alphas):
     return out, residues
 
 
-def boundary_value(
-    f: AnalyticFunction, lam: complex
-) -> tuple[complex, BoundaryStatus]:
-    """Radial boundary value of f at a unimodular point.
+def boundary_value(f: AnalyticFunction, lam: complex) -> complex:
+    """Radial boundary value f*(lam) of f at a unimodular point.
 
     Exact polynomials are just evaluated.  Truncations are sampled along
     r_k = 1 - 2^-k and extrapolated to r = 1 with the exact polynomial
     extrapolation weights of :func:`quadrature._extrapolation_weights`
-    (the gaps h = 1 - r are 2^-3 times 2^-l, and that scale cancels); if
-    any sample exceeds the divergence threshold, the status is
-    ``DIVERGENT`` and the value is meaningless.
+    (the gaps h = 1 - r are 2^-3 times 2^-l, and that scale cancels).  A
+    sample beyond the divergence threshold means the limit does not
+    exist, and :class:`BoundaryDivergenceError` is raised.
     """
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-9:
         raise ValueError("boundary point must lie on the unit circle")
     if f.exact:
-        return evaluate(f, lam), BoundaryStatus.EXACT
-    samples = np.array(
-        [evaluate(f, (1.0 - 2.0**-k) * lam) for k in _BOUNDARY_RADII_EXPONENTS]
-    )
-    if np.any(np.abs(samples) > _DIVERGENCE_THRESHOLD):
-        return complex("nan+nanj"), BoundaryStatus.DIVERGENT
+        return _values_on_circle(f, lam)
+    with np.errstate(over="ignore", invalid="ignore"):
+        samples = np.array(
+            [evaluate(f, (1.0 - 2.0**-k) * lam) for k in _BOUNDARY_RADII_EXPONENTS]
+        )
+    # an overflowing sample is not finite, and diverges too
+    if not np.all(np.abs(samples) <= _DIVERGENCE_THRESHOLD):
+        raise BoundaryDivergenceError(
+            f"no boundary value at lam={lam:.6f}: f diverges along the radius"
+        )
     weights, _ = _extrapolation_weights(len(samples) - 1)
-    value = np.dot(np.array(weights, dtype=float), samples)
-    return complex(value), BoundaryStatus.EXTRAPOLATED
+    return complex(np.dot(np.array(weights, dtype=float), samples))

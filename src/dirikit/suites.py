@@ -13,6 +13,7 @@ A check fails when its residual exceeds the suite tolerance or its own.
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ from .dirichlet import (
     local_bergman_kernel_series,
     multiplier_norm_upper,
     szego_kernel_energy,
-    szego_kernel_truncation,
 )
 from .functions import (
     AnalyticFunction,
@@ -45,8 +45,6 @@ from .measures import Atom, CircleMeasure, MeasureTuple
 from .operators import defect_kernel_check, defect_sequence
 from .quadrature import QuadratureSpec
 
-#: Suites that integrate by quadrature and so take a ``spec``.
-_QUADRATURE_SUITES = ("douglas", "tmap", "szego")
 #: Highest degree of the random polynomials, of the monomials checked by
 #: ``monomial`` and of the Szego truncations; no order above its degree
 #: has a nonzero derivative to check.
@@ -155,32 +153,40 @@ class _Recorder:
             self.failures.append(Failure(record, observed, expected, residual))
 
 
+#: Every suite runner by name, in definition order; :func:`_suite` fills it.
+SUITES: dict = {}
+#: Suites that integrate by quadrature and so take a ``spec``.
+_QUADRATURE_SUITES: set[str] = set()
+
+
 def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
            lowest_order: int = 1, highest_order: int | None = None):
-    """Turn a suite body into a runner with the shared keyword interface.
+    """Turn a suite body into a runner and register it in ``SUITES``.
 
     The runner takes ``trials``, ``seed``, ``spec``, ``orders`` and
     ``tolerance``; ``None`` means the defaults given here.  A ``None``
     spec reaches the body as it is, and each integral then picks its own
     grid through :meth:`QuadratureSpec.choose`: the smallest exact one
     for a polynomial and the default for a truncation.  Before the first
-    trial it
-    raises ``ValueError`` for a negative trial count, for orders or a spec
-    the suite does not read (it reads orders when it has default orders,
-    and a spec when it is one of the quadrature suites), and for an order
+    trial it raises ``ValueError`` for a negative trial count, for orders
+    or a spec the suite does not read (it reads orders when it has default
+    orders, and a spec when the body takes ``spec``), and for an order
     below ``lowest_order`` or above ``highest_order``.  That is the highest
     order at which the suite's functions can have a nonzero derivative, so
     a check above it holds trivially; ``None`` means no order is trivial.
     The body receives a :class:`_Recorder`, the (index, generator) pair of
     each trial with the generator seeded by (seed, index), and the orders
     and spec it reads as keywords.  The runner times the body and returns
-    its :class:`VerificationReport`.
+    its :class:`VerificationReport`; the runner is registered under the
+    body's name without ``run_``, in definition order.
     """
     default_trials, default_tolerance, default_orders = trials, tolerance, orders
 
     def wrap(body):
         name = body.__name__.removeprefix("run_")
-        quadrature = name in _QUADRATURE_SUITES
+        quadrature = "spec" in inspect.signature(body).parameters
+        if quadrature:
+            _QUADRATURE_SUITES.add(name)
 
         def run(trials: int | None = None, seed: int = 0,
                 spec: QuadratureSpec | None = None,
@@ -219,6 +225,7 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
 
         run.__name__ = run.__qualname__ = body.__name__
         run.__doc__ = body.__doc__
+        SUITES[name] = run
         return run
 
     return wrap
@@ -514,7 +521,7 @@ def run_atomic(rec: _Recorder, draws) -> None:
         f = _random_polynomial(rng)
         count = int(rng.integers(1, 5))
         angles = _random_atom_angles(rng, count)
-        split = atomic_decompose(f, angles, 1)
+        split = atomic_decompose(f, angles)
         scale = max(1.0, max(abs(c) for c in f.coeffs.tolist()))
         record = {"trial": i, "degree": f.degree, "atoms": count}
         rec.equality(record, split.residual / scale, 0.0)
@@ -544,7 +551,7 @@ def run_szego(rec: _Recorder, draws, orders, spec) -> None:
         for n in orders:
             for w in points:
                 closed = szego_kernel_energy(w, measure, n)
-                truncation = szego_kernel_truncation(w, _SZEGO_DEGREE)
+                truncation = dirichlet_kernel_section(w, 0, _SZEGO_DEGREE)
                 quad = dirichlet_weighted(
                     truncation, measure, n, spec, force_quadrature=True
                 ).value
@@ -622,21 +629,6 @@ def run_vsubspace(rec: _Recorder, draws) -> None:
             rec.equality(
                 {**record, "check": "rooted-boundary"}, check.order_zero, 0.0
             )
-
-
-SUITES = {
-    "monomial": run_monomial,
-    "douglas": run_douglas,
-    "tmap": run_tmap,
-    "kernel": run_kernel,
-    "dilation": run_dilation,
-    "shiftineq": run_shiftineq,
-    "multiplier": run_multiplier,
-    "atomic": run_atomic,
-    "szego": run_szego,
-    "isometry": run_isometry,
-    "vsubspace": run_vsubspace,
-}
 
 
 def run_suite(

@@ -488,6 +488,8 @@ def test_an_overflowing_result_exits_two(command, files, extra):
 
 
 HUGE = '{"coeffs": [[1e200, 0], [1e200, 0], [1, 0]]}'
+#: f(1) = 3.4e308 is beyond the float range, though each coefficient is not.
+BEYOND = '{"coeffs": [[1.7e308, 0], [1.7e308, 0]]}'
 
 
 @pytest.mark.parametrize(
@@ -504,8 +506,19 @@ HUGE = '{"coeffs": [[1e200, 0], [1e200, 0], [1, 0]]}'
         ("eval", {"function": HUGE, "measure": ATOM},
          ["--n", "1", "--force-quadrature"],
          "error: overflow: |h|^2 exceeds the float range at node "),
+        # f(lam) itself overflows, on the exact route of both commands
+        ("eval", {"function": BEYOND, "measure": ATOM}, ["--n", "1"],
+         "error: the value of f at lam=1.000000+0.000000j exceeds the float range\n"),
+        ("decompose", {"function": BEYOND}, ["--atom", "0", "--n", "1"],
+         "error: the value of f at lam=1.000000+0.000000j exceeds the float range\n"),
+        # as a truncation its radial samples overflow, and that is divergence
+        ("decompose", {"function": BEYOND[:-1] + ', "exact": false}'},
+         ["--atom", "0", "--n", "1"],
+         "error: no boundary value at lam=1.000000+0.000000j: "
+         "f diverges along the radius\n"),
     ],
-    ids=["eval-exact", "defects", "eval-quadrature"],
+    ids=["eval-exact", "defects", "eval-quadrature", "eval-beyond", "decompose-beyond",
+         "decompose-beyond-truncation"],
 )
 def test_an_overflowing_square_is_named_without_a_warning(command, files, extra, message):
     with warnings.catch_warnings():

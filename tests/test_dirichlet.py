@@ -34,7 +34,6 @@ from dirikit import (
     multiply,
     poisson_weighted_energy,
     szego_kernel_energy,
-    szego_kernel_truncation,
     szego_potential,
 )
 from dirikit.dirichlet import _exact_power_series
@@ -302,7 +301,7 @@ def test_szego_energy_arc_length_formula():
 
 
 def test_szego_truncation_coefficients():
-    f = szego_kernel_truncation(0.5j, 4)
+    f = dirichlet_kernel_section(0.5j, 0, 4)
     assert not f.exact
     assert f.coeffs.tolist() == [(-0.5j) ** k for k in range(5)]
 
@@ -313,7 +312,7 @@ def test_szego_potential_consistency():
     w = 0.5
     measure = CircleMeasure.point_mass(0.0)
     quad = dirichlet_weighted(
-        szego_kernel_truncation(w, 60), measure, 1, QuadratureSpec()
+        dirichlet_kernel_section(w, 0, 60), measure, 1, QuadratureSpec()
     ).value
     assert quad == pytest.approx(szego_kernel_energy(w, measure, 1), rel=1e-8)
     assert szego_potential(measure, w) == pytest.approx(4.0)
@@ -339,14 +338,14 @@ def test_dilation_factor_rejects_bad_input():
 
 
 def test_atomic_decompose_single_atom():
-    split = atomic_decompose(mono(2), [0.0], 1)
+    split = atomic_decompose(mono(2), [0.0])
     assert np.allclose(split.interpolant.coeffs, (1.0,))
     assert np.allclose(split.quotient.coeffs, (1.0, 1.0))
     assert split.residual < 1e-12
 
 
 def test_atomic_decompose_two_atoms():
-    split = atomic_decompose(mono(2), [0.0, math.pi], 1)
+    split = atomic_decompose(mono(2), [0.0, math.pi])
     assert np.allclose(split.interpolant.coeffs[0], 1.0)
     assert np.allclose(split.quotient.coeffs, (1.0,))
     assert split.residual < 1e-12
@@ -354,14 +353,14 @@ def test_atomic_decompose_two_atoms():
 
 def test_atomic_decompose_low_degree_gives_zero_quotient():
     f = AnalyticFunction((0.5, 1.0j))
-    split = atomic_decompose(f, [0.1, 1.7, 3.0], 2)
+    split = atomic_decompose(f, [0.1, 1.7, 3.0])
     assert np.max(np.abs(split.quotient.coeffs)) < 1e-12
     assert split.residual < 1e-12
 
 
 def test_atomic_decompose_rejects_duplicates():
     with pytest.raises(ValueError):
-        atomic_decompose(mono(2), [0.0, 0.0], 1)
+        atomic_decompose(mono(2), [0.0, 0.0])
 
 
 # -------------------------------------------------- multiplier seminorms

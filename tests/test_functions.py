@@ -11,7 +11,7 @@ from dirikit.functions import _divide_by_roots, times_linear
 
 from dirikit import (
     AnalyticFunction,
-    BoundaryStatus,
+    BoundaryDivergenceError,
     InexactDivisionError,
     add,
     boundary_value,
@@ -132,9 +132,10 @@ def test_divide_by_root_szego_truncation():
     # coefficients at w = 1/2 are exactly (1/2)^k
     w = 0.5
     f = AnalyticFunction(tuple(w**k for k in range(31)), exact=False)
-    g, residue = divide_by_root(f, 1.0, 1.0 / (1.0 - w), return_residue=True)
+    g = divide_by_root(f, 1.0, 1.0 / (1.0 - w))
     for k in range(25):
         assert g.coeffs[k] == pytest.approx(w**k, abs=1e-10)
+    _, residue = _divide_by_roots(f, np.complex128(1.0), 1.0 / (1.0 - w))
     assert residue < 1e-8
 
 
@@ -149,7 +150,8 @@ def test_divide_by_roots_columns_are_one_root_divisions():
     alphas = evaluate(f, lams)
     quotients, residues = _divide_by_roots(f, lams, alphas)
     for j, lam in enumerate(lams):
-        g, residue = divide_by_root(f, lam, alphas[j], return_residue=True)
+        g = divide_by_root(f, lam, alphas[j])
+        _, residue = _divide_by_roots(f, lam, alphas[j])
         assert np.array_equal(quotients[:, j], g.coeffs)
         assert residues[j] == residue
     # a constant has the zero quotient at every root
@@ -212,17 +214,13 @@ def test_multiply_truncates_at_cap():
 
 
 def test_boundary_value_exact_polynomial():
-    value, status = boundary_value(AnalyticFunction((0, 0, 1.0)), 1.0)
-    assert value == 1.0
-    assert status is BoundaryStatus.EXACT
+    assert boundary_value(AnalyticFunction((0, 0, 1.0)), 1.0) == 1.0
 
 
 def test_boundary_value_matches_evaluate_for_exact():
     f = AnalyticFunction((0.3, -0.7j, 1.2))
     lam = np.exp(0.4j)
-    value, status = boundary_value(f, lam)
-    assert status is BoundaryStatus.EXACT
-    assert value == evaluate(f, lam)
+    assert boundary_value(f, lam) == evaluate(f, lam)
 
 
 def test_boundary_value_vanishing_factor():
@@ -232,23 +230,21 @@ def test_boundary_value_vanishing_factor():
         tuple(1.0 / (k + 1) for k in range(51)), exact=False
     )
     f = multiply(AnalyticFunction((-1.0, 1.0)), g, max_degree=52)
-    value, status = boundary_value(f, 1.0)
-    assert status is BoundaryStatus.EXTRAPOLATED
-    assert abs(value) <= 1e-3
+    assert abs(boundary_value(f, 1.0)) <= 1e-3
 
 
 def test_boundary_value_szego_truncation():
     # oracle: 1/(1 - wbar) = 2 at w = 1/2
     f = AnalyticFunction(tuple(0.5**k for k in range(31)), exact=False)
-    value, status = boundary_value(f, 1.0)
-    assert status is BoundaryStatus.EXTRAPOLATED
-    assert value == pytest.approx(2.0, abs=1e-6)
+    assert boundary_value(f, 1.0) == pytest.approx(2.0, abs=1e-6)
 
 
 def test_boundary_value_divergence():
     f = AnalyticFunction(tuple(10.0**k for k in range(25)), exact=False)
-    _, status = boundary_value(f, 1.0)
-    assert status is BoundaryStatus.DIVERGENT
+    with pytest.raises(
+        BoundaryDivergenceError, match=r"at lam=1\.000000\+0\.000000j: f diverges"
+    ):
+        boundary_value(f, 1.0)
 
 
 def test_json_round_trip():
