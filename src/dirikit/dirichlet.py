@@ -126,7 +126,7 @@ def _sigma_sums(coeffs: np.ndarray, order: int) -> list[float]:
     then one ``pow`` (numpy's ``abs`` and ``square`` round differently),
     and the terms are added in index order (``add.accumulate``; ``sum``
     would add pairwise).  A square beyond the float range raises
-    ``OverflowError``.
+    ``OverflowError``, under the caller's ``np.errstate(over="ignore")``.
     """
     tail = coeffs[order:]
     if len(tail) == 0:
@@ -134,9 +134,8 @@ def _sigma_sums(coeffs: np.ndarray, order: int) -> list[float]:
     weights = _binomial_row(order, len(coeffs))[order:]
     if tail.ndim > 1:
         weights = weights[:, None]
-    with np.errstate(over="ignore"):
-        squares = np.float_power(np.hypot(tail.real, tail.imag), 2.0)
-        sums = np.add.accumulate(weights * squares)[-1:].ravel().tolist()
+    squares = np.float_power(np.hypot(tail.real, tail.imag), 2.0)
+    sums = np.add.accumulate(weights * squares)[-1:].ravel().tolist()
     # the weights are at least 1, so an infinite square makes its sum inf
     if math.inf in sums:
         rows = np.nonzero(np.isinf(squares))[0]
@@ -156,7 +155,8 @@ def dirichlet_sigma(f: AnalyticFunction, order: int) -> DirichletResult:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    (total,) = _sigma_sums(f.coeffs, order)
+    with np.errstate(over="ignore"):
+        (total,) = _sigma_sums(f.coeffs, order)
     return DirichletResult(total, "series", 0.0, order)
 
 
@@ -218,8 +218,10 @@ def dirichlet_weighted(
         # a lone atom steps on numpy scalars, about ten times faster than
         # on one-element arrays
         roots = points[0] if len(points) == 1 else points
-        quotients, _ = _divide_by_roots(f, roots, _values_on_circle(f, roots))
-        values = _sigma_sums(quotients, order - 1)
+        # one errstate for the route, whose overflows raise by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            quotients, _ = _divide_by_roots(f, roots, _values_on_circle(f, roots))
+            values = _sigma_sums(quotients, order - 1)
         for atom, value in zip(measure.atoms, values):
             total += atom.mass * value
         method = "decomposition"
@@ -404,9 +406,7 @@ def _lagrange_interpolant(
     for j, (pj, vj) in enumerate(zip(points, values)):
         basis = np.array([1.0 + 0.0j])
         denom = 1.0 + 0.0j
-        for i, pi in enumerate(points):
-            if i == j:
-                continue
+        for pi in points[:j] + points[j + 1:]:
             basis = np.convolve(basis, np.array([-pi, 1.0 + 0.0j]))
             denom *= pj - pi
         coeffs[: len(basis)] += vj * basis / denom

@@ -9,6 +9,7 @@ instances can be shared freely between workers.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,11 +126,13 @@ def evaluate(f: AnalyticFunction, z):
 
 
 def _values_on_circle(f: AnalyticFunction, lams):
-    """:func:`evaluate` at unimodular points; a value beyond the float
-    range raises ``OverflowError`` naming its point, not numpy warnings."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = evaluate(f, lams)
-    if not np.isfinite(values).all():
+    """:func:`evaluate` at unimodular points, under the caller's
+    ``np.errstate(over="ignore", invalid="ignore")``; a value beyond the
+    float range raises ``OverflowError`` naming its point."""
+    values = evaluate(f, lams)
+    # cmath checks the scalar of a lone point faster than np.isfinite
+    if not (cmath.isfinite(values) if isinstance(values, complex)
+            else np.isfinite(values).all()):
         lam = np.ravel(lams)[~np.isfinite(np.ravel(values))][0]
         raise OverflowError(f"the value of f at lam={lam:.6f} exceeds the float range")
     return values
@@ -200,8 +203,7 @@ def divide_by_root(
     unsatisfied top equation.  For a unimodular lam that residue equals
     |f(lam) - alpha| exactly, and it vanishes when alpha is the value of an
     exact polynomial at lam.  Exact inputs with a non-zero residue raise
-    :class:`InexactDivisionError`; truncations keep the division, and
-    :func:`_divide_by_roots` returns the residue as well.
+    :class:`InexactDivisionError`; truncations keep the division.
     """
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-9:
@@ -264,9 +266,9 @@ def boundary_value(f: AnalyticFunction, lam: complex) -> complex:
     lam = complex(lam)
     if abs(abs(lam) - 1.0) > 1e-9:
         raise ValueError("boundary point must lie on the unit circle")
-    if f.exact:
-        return _values_on_circle(f, lam)
     with np.errstate(over="ignore", invalid="ignore"):
+        if f.exact:
+            return _values_on_circle(f, lam)
         samples = np.array(
             [evaluate(f, (1.0 - 2.0**-k) * lam) for k in _BOUNDARY_RADII_EXPONENTS]
         )
