@@ -509,6 +509,10 @@ BEYOND = '{"coeffs": [[1.7e308, 0], [1.7e308, 0]]}'
         # f(lam) itself overflows, on the exact route of both commands
         ("eval", {"function": BEYOND, "measure": ATOM}, ["--n", "1"],
          "error: the value of f at lam=1.000000+0.000000j exceeds the float range\n"),
+        # f(-1) = 0: of two atoms, the one where f overflows is named
+        ("eval", {"function": BEYOND, "measure": ATOM.replace(
+            "[{", '[{"angle": 3.141592653589793, "mass": 1.0}, {')}, ["--n", "1"],
+         "error: the value of f at lam=1.000000+0.000000j exceeds the float range\n"),
         ("decompose", {"function": BEYOND}, ["--atom", "0", "--n", "1"],
          "error: the value of f at lam=1.000000+0.000000j exceeds the float range\n"),
         # as a truncation its radial samples overflow, and that is divergence
@@ -517,8 +521,8 @@ BEYOND = '{"coeffs": [[1.7e308, 0], [1.7e308, 0]]}'
          "error: no boundary value at lam=1.000000+0.000000j: "
          "f diverges along the radius\n"),
     ],
-    ids=["eval-exact", "defects", "eval-quadrature", "eval-beyond", "decompose-beyond",
-         "decompose-beyond-truncation"],
+    ids=["eval-exact", "defects", "eval-quadrature", "eval-beyond", "eval-beyond-two-atoms",
+         "decompose-beyond", "decompose-beyond-truncation"],
 )
 def test_an_overflowing_square_is_named_without_a_warning(command, files, extra, message):
     with warnings.catch_warnings():
