@@ -5,7 +5,8 @@ the report file with the golden one next to them, so a change that moves
 any byte of these reports fails here.  ``verify all --seed 42`` is pinned
 by criterion 12 in ``test_acceptance.py``.  The ``douglas`` and ``tmap``
 cases run with ``--tol -1``, so every trial fails and the report lists
-each observed and expected value; they exit 1.
+each observed and expected value; they exit 1.  So do the ``szego`` and
+``monomial`` cases, which pin every value those suites compute.
 """
 
 from pathlib import Path
@@ -42,9 +43,19 @@ CASES = {
         "verify", "tmap", "--trials", "24", "--seed", "5", "--tol", "-1",
         "--quad", "32,64",
     ],
+    "golden-verify-szego.json": ["verify", "szego", "--seed", "0", "--tol", "-1"],
+    "golden-verify-monomial.json": [
+        "verify", "monomial", "--trials", "6", "--n", "3", "--tol", "-1",
+        "--seed", "42",
+    ],
 }
 #: Cases whose reports list failures on purpose.
-EXIT = {"golden-verify-douglas.json": 1, "golden-verify-tmap.json": 1}
+EXIT = {
+    "golden-verify-douglas.json": 1,
+    "golden-verify-tmap.json": 1,
+    "golden-verify-szego.json": 1,
+    "golden-verify-monomial.json": 1,
+}
 
 
 @pytest.mark.parametrize("golden", sorted(CASES))
