@@ -12,11 +12,9 @@ from .dirichlet import (
     DirichletResult,
     DouglasCertificate,
     atomic_decompose,
-    bergman_lift,
     dilation_factor,
     dirichlet_atomic_order_zero,
     dirichlet_kernel_section,
-    dirichlet_kernel_value,
     dirichlet_sigma,
     dirichlet_sigma_inner,
     dirichlet_weighted,
@@ -24,7 +22,6 @@ from .dirichlet import (
     local_bergman_kernel,
     local_bergman_kernel_series,
     multiplier_norm_upper,
-    multiplier_seminorm_estimate,
     multiplier_seminorm_upper,
     szego_kernel_energy,
 )
@@ -45,7 +42,6 @@ from .measures import (
     Atom,
     CircleMeasure,
     MeasureTuple,
-    poisson_integral,
     szego_potential,
 )
 from .operators import (
@@ -85,7 +81,6 @@ __all__ = [
     "VerificationReport",
     "add",
     "atomic_decompose",
-    "bergman_lift",
     "boundary_value",
     "defect_kernel_check",
     "defect_sequence",
@@ -94,7 +89,6 @@ __all__ = [
     "dilation_factor",
     "dirichlet_atomic_order_zero",
     "dirichlet_kernel_section",
-    "dirichlet_kernel_value",
     "dirichlet_sigma",
     "dirichlet_sigma_inner",
     "dirichlet_weighted",
@@ -107,10 +101,8 @@ __all__ = [
     "local_bergman_kernel",
     "local_bergman_kernel_series",
     "multiplier_norm_upper",
-    "multiplier_seminorm_estimate",
     "multiplier_seminorm_upper",
     "multiply",
-    "poisson_integral",
     "poisson_weighted_energy",
     "run_all",
     "run_suite",

@@ -44,7 +44,10 @@ class DirichletResult:
     """Value of a weighted Dirichlet-type integral with provenance.
 
     ``spec`` is the grid of the quadrature route, ``None`` when no part
-    was integrated numerically.
+    was integrated numerically.  An integral against ``measure`` lists
+    in ``parts`` the local integral of each part of the measure at unit
+    mass, in the order of :attr:`CircleMeasure.part_masses`; ``value``
+    is their :meth:`CircleMeasure.weigh` sum.
     """
 
     value: float
@@ -52,6 +55,8 @@ class DirichletResult:
     error_estimate: float
     order: int
     spec: QuadratureSpec | None = None
+    parts: tuple[float, ...] = ()
+    measure: CircleMeasure | None = None
 
     def to_json(self) -> dict:
         payload = {
@@ -62,6 +67,16 @@ class DirichletResult:
         }
         if self.spec is not None:
             payload["quad"] = self.spec.to_json()
+        if self.measure is not None:
+            lebesgue, atoms = self.measure.lebesgue, self.measure.atoms
+            labels = [{"part": "arc", "mass": lebesgue}] if lebesgue > 0 else []
+            labels += [
+                {"part": "atom", "angle": a.angle, "mass": a.mass} for a in atoms
+            ]
+            payload["parts"] = [
+                {**label, "local": local}
+                for label, local in zip(labels, self.parts, strict=True)
+            ]
         return payload
 
 
@@ -180,25 +195,28 @@ def dirichlet_weighted(
 ) -> DirichletResult:
     """Weighted Dirichlet-type integral of positive order.
 
-    The measure splits into its arc-length multiple and its atoms and the
-    parts add up, arc length first.  Exact polynomials take the
-    decomposition route, one division and one coefficient series for all
-    atoms of the measure, and the coefficient series for the arc-length
-    part.  Truncations integrate their atoms numerically, and
-    ``force_quadrature`` integrates every part numerically; the numerical
-    parts come from one ``poisson_weighted_energy`` call, on the grid
-    :meth:`QuadratureSpec.choose` picks from ``spec``, the degree of f
-    and the order.
+    The measure splits into its arc-length multiple and its atoms; the
+    result lists the local integral of each part at unit mass and weighs
+    them with :meth:`CircleMeasure.weigh`, arc length first.  Exact
+    polynomials take the decomposition route, one division and one
+    coefficient series for all atoms of the measure, and the coefficient
+    series for the arc-length part.  Truncations integrate their atoms
+    numerically, and ``force_quadrature`` integrates every part
+    numerically; the numerical parts come from one
+    ``poisson_weighted_energy`` call, on the grid
+    :meth:`QuadratureSpec.choose` picks from ``spec``, the degree of f and
+    the order.
     """
     if order < 1:
         raise ValueError(
             "order must be positive; use dirichlet_atomic_order_zero for order 0"
         )
-    total = 0.0
-    error = 0.0
+    parts = []
+    estimates = []
     method = "series"
     if measure.lebesgue > 0 and not force_quadrature:
-        total += measure.lebesgue * dirichlet_sigma(f, order).value
+        parts.append(dirichlet_sigma(f, order).value)
+        estimates.append(0.0)
     if force_quadrature or not f.exact:
         # the parts left to quadrature share one sampling of f^(n)
         sampled = measure if force_quadrature else CircleMeasure(measure.atoms)
@@ -208,9 +226,12 @@ def dirichlet_weighted(
             for value, est in poisson_weighted_energy(
                 lambda z: evaluate(df, z), order, spec, sampled
             ):
-                total += value
-                error += est
-            return DirichletResult(total, "quadrature", error, order, spec)
+                parts.append(value)
+                estimates.append(est)
+            return DirichletResult(
+                measure.weigh(parts), "quadrature", measure.weigh(estimates),
+                order, spec, tuple(parts), measure,
+            )
     elif measure.atoms:
         # the local Douglas formula at every atom at once: column j is the
         # quotient (f - f(lam_j)) / (z - lam_j), integrated one order down
@@ -221,11 +242,12 @@ def dirichlet_weighted(
         # one errstate for the route, whose overflows raise by name
         with np.errstate(over="ignore", invalid="ignore"):
             quotients, _ = _divide_by_roots(f, roots, _values_on_circle(f, roots))
-            values = _sigma_sums(quotients, order - 1)
-        for atom, value in zip(measure.atoms, values):
-            total += atom.mass * value
+            parts += _sigma_sums(quotients, order - 1)
         method = "decomposition"
-    return DirichletResult(total, method, error, order)
+    return DirichletResult(
+        measure.weigh(parts), method, 0.0, order, parts=tuple(parts),
+        measure=measure,
+    )
 
 
 def dirichlet_atomic_order_zero(
@@ -277,40 +299,6 @@ def douglas_decompose(
         lhs_error=lhs.error_estimate,
         spec=lhs.spec,
     )
-
-
-def bergman_lift(
-    f: AnalyticFunction, boundary_point: complex, order: int
-) -> AnalyticFunction:
-    """Order-th derivative of (z - lam) f.
-
-    This is the unitary carrying the order-(n-1) arc-length seminorm onto
-    the weighted Bergman space of the local weight at lam.
-    """
-    return derivative(times_linear(f, complex(boundary_point)), order)
-
-
-def dirichlet_kernel_value(
-    z: complex, w: complex, order: int, terms: int
-) -> tuple[complex, float]:
-    """Partial sum of the order-j arc-length reproducing kernel.
-
-    Sums binom(k, j)^-1 (z conj(w))^k for k = j .. j + terms - 1 and
-    reports a geometric tail bound (the binomial weights are >= 1).
-    """
-    if terms < 1:
-        raise ValueError("need at least one term")
-    z, w = complex(z), complex(w)
-    if abs(z) >= 1 or abs(w) >= 1:
-        raise ValueError("kernel arguments must lie in the open disc")
-    x = z * w.conjugate()
-    total = 0.0 + 0.0j
-    power = x**order
-    for k in range(order, order + terms):
-        total += power / math.comb(k, order)
-        power *= x
-    tail = abs(x) ** (order + terms) / (1.0 - abs(x))
-    return total, tail
 
 
 def dirichlet_kernel_section(
@@ -500,19 +488,6 @@ def _multiplier_upper(
         for p, c in enumerate(phi.coeffs.tolist())
     )
     return math.sqrt(section**2 + tail**2)
-
-
-def multiplier_seminorm_estimate(
-    phi: AnalyticFunction, order: int, section_degree: int
-) -> float:
-    """Finite-section lower bound for the multiplier seminorm of phi.
-
-    Largest singular value of the multiplication matrix restricted to the
-    monomial section; nondecreasing in the section degree and always a
-    lower bound of the seminorm on the full order-j space.
-    """
-    matrix, _ = _multiplication_section(phi, order, section_degree, False)
-    return float(np.linalg.norm(matrix, ord=2))
 
 
 def multiplier_seminorm_upper(

@@ -78,6 +78,24 @@ class CircleMeasure:
     def is_atomic(self) -> bool:
         return self.lebesgue == 0.0
 
+    @property
+    def part_masses(self) -> tuple[float, ...]:
+        """Mass of each part: arc length first when it has mass, then the
+        atoms in measure order."""
+        head = (self.lebesgue,) if self.lebesgue > 0 else ()
+        return head + tuple(a.mass for a in self.atoms)
+
+    def weigh(self, parts) -> float:
+        """Mass-weighted sum of unit-mass part values in part order.
+
+        Integrals against the measure are added up from their parts here
+        alone, each part times its mass and added left to right.
+        """
+        total = 0.0
+        for mass, part in zip(self.part_masses, parts, strict=True):
+            total += mass * part
+        return total
+
     def to_json(self) -> dict:
         return {
             "atoms": [{"angle": a.angle, "mass": a.mass} for a in self.atoms],
@@ -120,20 +138,6 @@ def _require_interior(z: complex) -> complex:
     if abs(z) >= 1.0:
         raise ValueError("point must lie in the open unit disc")
     return z
-
-
-def poisson_integral(measure: CircleMeasure, z: complex) -> float:
-    """Harmonic extension of the measure at an interior point.
-
-    The arc-length part contributes its mass exactly (mean value property);
-    each atom contributes (1 - |z|^2) / |z - point|^2 times its mass.
-    """
-    z = _require_interior(z)
-    one_minus = 1.0 - abs(z) ** 2
-    total = measure.lebesgue
-    for atom in measure.atoms:
-        total += atom.mass * one_minus / abs(z - atom.point) ** 2
-    return total
 
 
 def szego_potential(measure: CircleMeasure, w: complex) -> float:

@@ -281,11 +281,12 @@ def poisson_weighted_energy(
     ``values_fn`` receives a complex ndarray of interior points and must
     return h at those points.
 
-    Returns one (value, error estimate) pair per part, each multiplied by
-    the part's mass: the arc-length part first if it has mass, then the
-    atoms in measure order.  Their sum is the integral against the whole
-    measure.  Each of the two grids is sampled once for all parts; every
-    atom then costs one contraction of the smoothed Fourier coefficients.
+    Returns one (value, error estimate) pair per part, each at unit mass:
+    the arc-length part first if it has mass, then the atoms in measure
+    order.  :meth:`CircleMeasure.weigh` adds them up to the integral
+    against the whole measure.  Each of the two grids is sampled once for
+    all parts; every atom then costs one contraction of the smoothed
+    Fourier coefficients.
 
     The rule is exact for a polynomial h of degree D on a grid with
     ``angular >= 2 D + 1`` and ``radial >= D + order``.  Angularly, |h|^2
@@ -305,15 +306,10 @@ def poisson_weighted_energy(
     if order < 1:
         raise ValueError("weight order must be a positive integer")
     measure = CircleMeasure.arc_length() if measure is None else measure
-    masses = [measure.lebesgue] if measure.lebesgue > 0 else []
-    masses += [atom.mass for atom in measure.atoms]
     fine = _poisson_energies_on_grid(
         values_fn, order, spec.radial, spec.angular, measure
     )
     coarse = _poisson_energies_on_grid(
         values_fn, order, max(spec.radial // 2, 4), max(spec.angular // 2, 8), measure
     )
-    return [
-        (mass * value, mass * abs(value - half))
-        for mass, value, half in zip(masses, fine, coarse)
-    ]
+    return [(value, abs(value - half)) for value, half in zip(fine, coarse)]

@@ -41,7 +41,7 @@ from .functions import (
     multiply,
     times_linear,
 )
-from .measures import Atom, CircleMeasure, MeasureTuple
+from .measures import ATOM_ANGLE_TOLERANCE, Atom, CircleMeasure, MeasureTuple
 from .operators import defect_kernel_check, defect_sequence
 from .quadrature import QuadratureSpec
 
@@ -282,6 +282,27 @@ def _random_measure(rng: np.random.Generator) -> CircleMeasure:
     return CircleMeasure(atomic.atoms, float(rng.uniform(0.2, 2.0)))
 
 
+def _unit_atom_measures(angles: list[float]) -> list[CircleMeasure]:
+    """Measures that hold, between them, a unit atom at each distinct angle.
+
+    One measure holds every angle it can; an angle within
+    ``ATOM_ANGLE_TOLERANCE`` of its neighbour on the circle, which
+    :class:`CircleMeasure` would reject as the same point, gets a
+    measure of its own.  The atoms left in the shared measure are then at
+    least as far apart as the gaps that kept them there.
+    """
+    ordered = sorted({angle % (2.0 * math.pi) for angle in angles})
+    gaps = [b - a for a, b in zip(ordered, ordered[1:])]
+    if len(ordered) > 1:
+        gaps.append(2.0 * math.pi - ordered[-1] + ordered[0])
+    # gaps[j] lies after ordered[j]; the last one wraps round to ordered[0]
+    close = {j for j, gap in enumerate(gaps) if gap < ATOM_ANGLE_TOLERANCE}
+    close |= {(j + 1) % len(ordered) for j in close}
+    shared = tuple(Atom(a, 1.0) for j, a in enumerate(ordered) if j not in close)
+    lone = [CircleMeasure.point_mass(ordered[j]) for j in sorted(close)]
+    return ([CircleMeasure(shared)] if shared else []) + lone
+
+
 @_suite(trials=50, tolerance=1e-12, orders=[1, 2, 3, 4], highest_order=_MONOMIAL_DEGREE)
 def run_monomial(rec: _Recorder, draws, orders) -> None:
     """Local integral of z^k at any atom equals binom(k, n).
@@ -289,19 +310,28 @@ def run_monomial(rec: _Recorder, draws, orders) -> None:
     The oracle is the binomial coefficient itself (hockey-stick closed
     form); the computed side goes through boundary division plus the
     order-(n-1) coefficient series, and must also coincide with the plain
-    arc-length series for z^k.
+    arc-length series for z^k.  Every trial's atom has unit mass in one
+    measure, so a single integral per order and monomial yields the local
+    integrals at all of them as its parts.
     """
-    for i, rng in draws:
-        angle = _random_angle(rng)
-        measure = CircleMeasure.point_mass(angle)
+    trials = [(i, _random_angle(rng)) for i, rng in draws]
+    measures = _unit_atom_measures([angle for _, angle in trials])
+    local, sigma = {}, {}
+    for n in orders:
+        for k in range(_MONOMIAL_DEGREE + 1):
+            zk = AnalyticFunction.monomial(k)
+            for measure in measures:
+                parts = dirichlet_weighted(zk, measure, n).parts
+                for atom, part in zip(measure.atoms, parts):
+                    local[atom.angle, n, k] = part
+            sigma[n, k] = dirichlet_sigma(zk, n).value
+    for i, angle in trials:
         for n in orders:
             for k in range(_MONOMIAL_DEGREE + 1):
                 record = {"trial": i, "k": k, "n": n, "atom_angle": angle}
-                zk = AnalyticFunction.monomial(k)
-                value = dirichlet_weighted(zk, measure, n).value
+                value = local[angle % (2.0 * math.pi), n, k]
                 rec.equality(record, value, float(math.comb(k, n)))
-                sigma = dirichlet_sigma(zk, n).value
-                rec.equality({**record, "check": "sigma-agrees"}, value, sigma)
+                rec.equality({**record, "check": "sigma-agrees"}, value, sigma[n, k])
 
 
 @_suite(trials=200, tolerance=1e-6, orders=[1, 2, 3, 4], highest_order=_DRAW_DEGREE)
@@ -547,14 +577,23 @@ def run_szego(rec: _Recorder, draws, orders, spec) -> None:
         "arc-plus-atom": CircleMeasure((Atom(0.0, 1.0),), 1.0),
     }
     points = [0.3 + 0.0j, 0.5j, -0.6 + 0.0j]
+    # every part of the four measures, integrated once per truncation
+    union = CircleMeasure((Atom(0.0, 1.0), Atom(math.pi / 2.0, 1.0)), 1.0)
+    local = {}
+    for n in orders:
+        for w in points:
+            truncation = dirichlet_kernel_section(w, 0, _SZEGO_DEGREE)
+            arc, *atoms = dirichlet_weighted(
+                truncation, union, n, spec, force_quadrature=True
+            ).parts
+            local[n, w] = arc, dict(zip((a.angle for a in union.atoms), atoms))
     for name, measure in measures.items():
         for n in orders:
             for w in points:
                 closed = szego_kernel_energy(w, measure, n)
-                truncation = dirichlet_kernel_section(w, 0, _SZEGO_DEGREE)
-                quad = dirichlet_weighted(
-                    truncation, measure, n, spec, force_quadrature=True
-                ).value
+                arc, at = local[n, w]
+                parts = [arc] if measure.lebesgue > 0 else []
+                quad = measure.weigh(parts + [at[a.angle] for a in measure.atoms])
                 record = {"measure": name, "n": n, "w": [w.real, w.imag]}
                 rec.equality(record, quad, closed)
     for n in orders:

@@ -14,11 +14,9 @@ from dirikit import (
     CircleMeasure,
     QuadratureSpec,
     atomic_decompose,
-    bergman_lift,
     dilation_factor,
     dirichlet_atomic_order_zero,
     dirichlet_kernel_section,
-    dirichlet_kernel_value,
     dirichlet_sigma,
     dirichlet_sigma_inner,
     derivative,
@@ -29,14 +27,14 @@ from dirikit import (
     local_bergman_kernel,
     local_bergman_kernel_series,
     multiplier_norm_upper,
-    multiplier_seminorm_estimate,
     multiplier_seminorm_upper,
     multiply,
     poisson_weighted_energy,
     szego_kernel_energy,
     szego_potential,
 )
-from dirikit.dirichlet import _exact_power_series
+from dirikit.dirichlet import _exact_power_series, _multiplication_section
+from dirikit.functions import times_linear
 
 
 def mono(k):
@@ -198,6 +196,13 @@ def test_douglas_rejects_divergent():
 # -------------------------------------------------------------- lift map
 
 
+def bergman_lift(f, boundary_point, order):
+    """Reference: the order-th derivative of (z - lam) f, the unitary
+    carrying the order-(n-1) arc-length seminorm onto the weighted Bergman
+    space of the local weight at lam."""
+    return derivative(times_linear(f, complex(boundary_point)), order)
+
+
 def test_bergman_lift_constant():
     assert bergman_lift(AnalyticFunction((1.0,)), 1.0, 1).coeffs.tolist() == [1.0]
 
@@ -209,6 +214,21 @@ def test_bergman_lift_linear():
 
 
 # ---------------------------------------------------------------- kernels
+
+
+def dirichlet_kernel_value(z, w, order, terms):
+    """Reference: partial sum of the order-j arc-length reproducing kernel,
+    binom(k, j)^-1 (z conj(w))^k for k = j .. j + terms - 1, with a
+    geometric tail bound (the binomial weights are >= 1)."""
+    z, w = complex(z), complex(w)
+    x = z * w.conjugate()
+    total = 0.0 + 0.0j
+    power = x**order
+    for k in range(order, order + terms):
+        total += power / math.comb(k, order)
+        power *= x
+    tail = abs(x) ** (order + terms) / (1.0 - abs(x))
+    return total, tail
 
 
 def test_kernel_value_starts_at_order():
@@ -364,6 +384,14 @@ def test_atomic_decompose_rejects_duplicates():
 
 
 # -------------------------------------------------- multiplier seminorms
+
+
+def multiplier_seminorm_estimate(phi, order, section_degree):
+    """Reference: the finite-section lower bound for the multiplier
+    seminorm, the largest singular value of multiplication by phi on the
+    monomial section; nondecreasing in the section degree."""
+    matrix, _ = _multiplication_section(phi, order, section_degree, False)
+    return float(np.linalg.norm(matrix, ord=2))
 
 
 def test_multiplier_identity():
@@ -708,6 +736,37 @@ def test_batched_decomposition_matches_a_per_atom_reference_bit_for_bit():
             assert result.method == "decomposition"
             expected = _per_atom_decomposition(f, measure, order)
             assert result.value.hex() == expected.hex(), (degree, len(atoms), order)
+
+
+def test_parts_are_the_one_part_integrals_and_weigh_to_the_value():
+    # every route: exact polynomials, truncations, forced quadrature
+    rng = np.random.default_rng(11)
+    for case in range(60):
+        degree = int(rng.integers(0, 13))
+        coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        f = AnalyticFunction(coeffs, bool(case % 3 != 1))
+        forced = case % 3 == 2
+        atoms = tuple(
+            Atom(2.0 * math.pi * (i + 0.8 * rng.uniform()) / 8, rng.uniform(0.2, 2.0))
+            for i in sorted(rng.choice(8, int(rng.integers(1, 9)), replace=False))
+        )
+        measure = CircleMeasure(atoms, float(rng.choice([0.0, 0.7])))
+        order = int(rng.integers(1, 5))
+        # exact polynomials get their own grid; truncations a small one
+        spec = None if f.exact else QuadratureSpec(24, 32)
+        result = dirichlet_weighted(f, measure, order, spec, force_quadrature=forced)
+        assert len(result.parts) == len(measure.part_masses)
+        total = 0.0
+        for mass, part in zip(measure.part_masses, result.parts):
+            total += mass * part
+        assert result.value.hex() == total.hex(), case
+        singles = [CircleMeasure.point_mass(a.angle) for a in measure.atoms]
+        if measure.lebesgue > 0:
+            singles.insert(0, CircleMeasure.arc_length())
+        for single, part in zip(singles, result.parts):
+            alone = dirichlet_weighted(f, single, order, spec, force_quadrature=forced)
+            assert alone.parts == (alone.value,)
+            assert part.hex() == alone.value.hex(), case
 
 
 def test_an_overflowing_square_names_its_coefficient_and_order():

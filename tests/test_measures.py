@@ -9,9 +9,22 @@ from dirikit import (
     Atom,
     CircleMeasure,
     MeasureTuple,
-    poisson_integral,
     szego_potential,
 )
+
+
+def poisson_integral(measure, z):
+    """Reference: the harmonic extension of the measure at an interior
+    point.  Arc length contributes its mass (mean value property), each
+    atom (1 - |z|^2) / |z - point|^2 times its mass."""
+    z = complex(z)
+    if abs(z) >= 1.0:
+        raise ValueError("point must lie in the open unit disc")
+    one_minus = 1.0 - abs(z) ** 2
+    total = measure.lebesgue
+    for atom in measure.atoms:
+        total += atom.mass * one_minus / abs(z - atom.point) ** 2
+    return total
 
 
 def test_atom_point():

@@ -1,11 +1,13 @@
 """Suite driver contract: tolerances, argument checks, the registry."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+import dirikit.suites
 from dirikit import QuadratureSpec
 from dirikit.suites import (
     SUITES,
@@ -30,6 +32,32 @@ def test_szego_series_checks_keep_their_tolerance():
     report = run_szego(tolerance=-1)
     assert len(report.failures) == 36
     assert all("check" not in f.record for f in report.failures)
+
+
+@pytest.mark.parametrize(
+    "angles",
+    [[1.0], [1.0, 1.0 + 1e-10], [2.0 * math.pi - 1e-10, 0.0, 3.0]],
+    ids=["equal", "closer-than-tolerance", "across-zero"],
+)
+def test_monomial_splits_atoms_one_measure_cannot_hold(monkeypatch, angles):
+    # trial angles that collide as atoms still give each trial its own
+    # local integrals: the values of a one-trial run at the same angle
+    def run(trials, angles, tolerance=-1):
+        cycle = itertools.cycle(angles)
+        monkeypatch.setattr(dirikit.suites, "_random_angle", lambda rng: next(cycle))
+        return run_monomial(trials=trials, tolerance=tolerance)
+
+    assert run(2 * len(angles), angles, tolerance=None).passed
+    batch = run(2 * len(angles), angles)
+    for i in range(2 * len(angles)):
+        mine = [f for f in batch.failures if f.record["trial"] == i]
+        alone = run(1, [angles[i % len(angles)]]).failures
+        assert [(f.observed, f.expected) for f in mine] == [
+            (f.observed, f.expected) for f in alone
+        ]
+        assert [f.record["atom_angle"] for f in mine] == [
+            f.record["atom_angle"] for f in alone
+        ]
 
 
 def test_isometry_positivity_keeps_its_tolerance():
