@@ -311,25 +311,33 @@ def run_monomial(rec: _Recorder, draws, orders) -> None:
     form); the computed side goes through boundary division plus the
     order-(n-1) coefficient series, and must also coincide with the plain
     arc-length series for z^k.  Every trial's atom has unit mass in one
-    measure, so a single integral per order and monomial yields the local
+    measure (an atom too close to another for that gets a measure of its
+    own), so a single integral per order and monomial yields the local
     integrals at all of them as its parts.
     """
     trials = [(i, _random_angle(rng)) for i, rng in draws]
     measures = _unit_atom_measures([angle for _, angle in trials])
-    local, sigma = {}, {}
-    for n in orders:
-        for k in range(_MONOMIAL_DEGREE + 1):
+    atoms = [atom for measure in measures for atom in measure.atoms]
+    column = {atom.angle: c for c, atom in enumerate(atoms)}
+    degrees = range(_MONOMIAL_DEGREE + 1)
+    # local[a, k, c] is the order-orders[a] local integral of z^k at atom
+    # c; one float array holds them in a sliver of the memory of a dict
+    local = np.empty((len(orders), len(degrees), len(atoms)))
+    sigma = {}
+    for a, n in enumerate(orders):
+        for k in degrees:
             zk = AnalyticFunction.monomial(k)
-            for measure in measures:
-                parts = dirichlet_weighted(zk, measure, n).parts
-                for atom, part in zip(measure.atoms, parts):
-                    local[atom.angle, n, k] = part
+            local[a, k] = [
+                part for measure in measures
+                for part in dirichlet_weighted(zk, measure, n).parts
+            ]
             sigma[n, k] = dirichlet_sigma(zk, n).value
     for i, angle in trials:
-        for n in orders:
-            for k in range(_MONOMIAL_DEGREE + 1):
+        values = local[:, :, column[angle % (2.0 * math.pi)]].tolist()
+        for a, n in enumerate(orders):
+            for k in degrees:
                 record = {"trial": i, "k": k, "n": n, "atom_angle": angle}
-                value = local[angle % (2.0 * math.pi), n, k]
+                value = values[a][k]
                 rec.equality(record, value, float(math.comb(k, n)))
                 rec.equality({**record, "check": "sigma-agrees"}, value, sigma[n, k])
 
