@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 #: Atom angles closer than this (radians) count as the same point.
 ATOM_ANGLE_TOLERANCE = 1e-9
@@ -78,7 +79,7 @@ class CircleMeasure:
     def is_atomic(self) -> bool:
         return self.lebesgue == 0.0
 
-    @property
+    @cached_property
     def part_masses(self) -> tuple[float, ...]:
         """Mass of each part: arc length first when it has mass, then the
         atoms in measure order."""

@@ -744,7 +744,7 @@ def test_parts_are_the_one_part_integrals_and_weigh_to_the_value():
     for case in range(60):
         degree = int(rng.integers(0, 13))
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
-        f = AnalyticFunction(coeffs, bool(case % 3 != 1))
+        f = AnalyticFunction(coeffs, case % 3 != 1)
         forced = case % 3 == 2
         atoms = tuple(
             Atom(2.0 * math.pi * (i + 0.8 * rng.uniform()) / 8, rng.uniform(0.2, 2.0))
