@@ -265,8 +265,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    # bad input, or a computation that input makes fail or overflow
-    except (ValueError, ArithmeticError) as exc:
+    # bad input, or a computation that input makes fail, overflow or
+    # need more memory than there is
+    except (ValueError, ArithmeticError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

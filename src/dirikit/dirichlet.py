@@ -233,21 +233,31 @@ def dirichlet_weighted(
                 order, spec, tuple(parts), measure,
             )
     elif measure.atoms:
-        # the local Douglas formula at every atom at once: column j is the
-        # quotient (f - f(lam_j)) / (z - lam_j), integrated one order down
-        points = np.array([atom.point for atom in measure.atoms])
-        # a lone atom steps on numpy scalars, about ten times faster than
-        # on one-element arrays
-        roots = points[0] if len(points) == 1 else points
-        # one errstate for the route, whose overflows raise by name
-        with np.errstate(over="ignore", invalid="ignore"):
-            quotients, _ = _divide_by_roots(f, roots, _values_on_circle(f, roots))
-            parts += _sigma_sums(quotients, order - 1)
+        parts += _local_integrals(f, [atom.point for atom in measure.atoms], order)
         method = "decomposition"
     return DirichletResult(
         measure.weigh(parts), method, 0.0, order, parts=tuple(parts),
         measure=measure,
     )
+
+
+def _local_integrals(f: AnalyticFunction, points, order: int) -> list[float]:
+    """Unit-mass local integrals of an exact polynomial at unimodular points.
+
+    The local Douglas formula at every point at once: column j is the
+    quotient (f - f(lam_j)) / (z - lam_j), integrated one order down.
+    Points may repeat; no points give no integrals.
+    """
+    if len(points) == 0:
+        return []
+    points = np.array(points)
+    # a lone point steps on numpy scalars, about ten times faster than
+    # on one-element arrays
+    roots = points[0] if len(points) == 1 else points
+    # one errstate for the route, whose overflows raise by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        quotients, _ = _divide_by_roots(f, roots, _values_on_circle(f, roots))
+        return _sigma_sums(quotients, order - 1)
 
 
 def dirichlet_atomic_order_zero(

@@ -206,7 +206,8 @@ def divide_by_root(
     :class:`InexactDivisionError`; truncations keep the division.
     """
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-9:
+    # written so that a NaN point fails it too
+    if not abs(abs(lam) - 1.0) <= 1e-9:
         raise ValueError("division point must lie on the unit circle")
     out, _ = _divide_by_roots(f, np.complex128(lam), alpha)
     return AnalyticFunction(out, f.exact)
@@ -264,7 +265,8 @@ def boundary_value(f: AnalyticFunction, lam: complex) -> complex:
     exist, and :class:`BoundaryDivergenceError` is raised.
     """
     lam = complex(lam)
-    if abs(abs(lam) - 1.0) > 1e-9:
+    # written so that a NaN point fails it too
+    if not abs(abs(lam) - 1.0) <= 1e-9:
         raise ValueError("boundary point must lie on the unit circle")
     with np.errstate(over="ignore", invalid="ignore"):
         if f.exact:

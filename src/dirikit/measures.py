@@ -47,7 +47,9 @@ class CircleMeasure:
         for atom in self.atoms:
             if atom.mass <= 0:
                 raise ValueError("atom masses must be positive")
-            normalized.append(Atom(atom.angle % (2 * math.pi), atom.mass))
+            angle = atom.angle % (2 * math.pi)
+            # a tiny negative angle rounds up to 2*pi itself, which is 0
+            normalized.append(Atom(0.0 if angle == 2 * math.pi else angle, atom.mass))
         normalized.sort(key=lambda a: a.angle)
         for left, right in zip(normalized, normalized[1:]):
             if right.angle - left.angle < ATOM_ANGLE_TOLERANCE:

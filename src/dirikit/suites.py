@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirichlet import (
+    _local_integrals,
     atomic_decompose,
     dilation_factor,
     dirichlet_kernel_section,
@@ -41,7 +42,7 @@ from .functions import (
     multiply,
     times_linear,
 )
-from .measures import ATOM_ANGLE_TOLERANCE, Atom, CircleMeasure, MeasureTuple
+from .measures import Atom, CircleMeasure, MeasureTuple
 from .operators import defect_kernel_check, defect_sequence
 from .quadrature import QuadratureSpec
 
@@ -282,27 +283,6 @@ def _random_measure(rng: np.random.Generator) -> CircleMeasure:
     return CircleMeasure(atomic.atoms, float(rng.uniform(0.2, 2.0)))
 
 
-def _unit_atom_measures(angles: list[float]) -> list[CircleMeasure]:
-    """Measures that hold, between them, a unit atom at each distinct angle.
-
-    One measure holds every angle it can; an angle within
-    ``ATOM_ANGLE_TOLERANCE`` of its neighbour on the circle, which
-    :class:`CircleMeasure` would reject as the same point, gets a
-    measure of its own.  The atoms left in the shared measure are then at
-    least as far apart as the gaps that kept them there.
-    """
-    ordered = sorted({angle % (2.0 * math.pi) for angle in angles})
-    gaps = [b - a for a, b in zip(ordered, ordered[1:])]
-    if len(ordered) > 1:
-        gaps.append(2.0 * math.pi - ordered[-1] + ordered[0])
-    # gaps[j] lies after ordered[j]; the last one wraps round to ordered[0]
-    close = {j for j, gap in enumerate(gaps) if gap < ATOM_ANGLE_TOLERANCE}
-    close |= {(j + 1) % len(ordered) for j in close}
-    shared = tuple(Atom(a, 1.0) for j, a in enumerate(ordered) if j not in close)
-    lone = [CircleMeasure.point_mass(ordered[j]) for j in sorted(close)]
-    return ([CircleMeasure(shared)] if shared else []) + lone
-
-
 @_suite(trials=50, tolerance=1e-12, orders=[1, 2, 3, 4], highest_order=_MONOMIAL_DEGREE)
 def run_monomial(rec: _Recorder, draws, orders) -> None:
     """Local integral of z^k at any atom equals binom(k, n).
@@ -310,30 +290,23 @@ def run_monomial(rec: _Recorder, draws, orders) -> None:
     The oracle is the binomial coefficient itself (hockey-stick closed
     form); the computed side goes through boundary division plus the
     order-(n-1) coefficient series, and must also coincide with the plain
-    arc-length series for z^k.  Every trial's atom has unit mass in one
-    measure (an atom too close to another for that gets a measure of its
-    own), so a single integral per order and monomial yields the local
-    integrals at all of them as its parts.
+    arc-length series for z^k.  One batch of local integrals per order
+    and monomial holds every trial's point, so trial c reads column c.
     """
     trials = [(i, _random_angle(rng)) for i, rng in draws]
-    measures = _unit_atom_measures([angle for _, angle in trials])
-    atoms = [atom for measure in measures for atom in measure.atoms]
-    column = {atom.angle: c for c, atom in enumerate(atoms)}
+    points = [Atom(angle, 1.0).point for _, angle in trials]
     degrees = range(_MONOMIAL_DEGREE + 1)
-    # local[a, k, c] is the order-orders[a] local integral of z^k at atom
-    # c; one float array holds them in a sliver of the memory of a dict
-    local = np.empty((len(orders), len(degrees), len(atoms)))
+    # local[a, k, c] is the order-orders[a] local integral of z^k at trial
+    # c's point; one float array holds them in a sliver of a dict's memory
+    local = np.empty((len(orders), len(degrees), len(trials)))
     sigma = {}
     for a, n in enumerate(orders):
         for k in degrees:
             zk = AnalyticFunction.monomial(k)
-            local[a, k] = [
-                part for measure in measures
-                for part in dirichlet_weighted(zk, measure, n).parts
-            ]
+            local[a, k] = _local_integrals(zk, points, n)
             sigma[n, k] = dirichlet_sigma(zk, n).value
-    for i, angle in trials:
-        values = local[:, :, column[angle % (2.0 * math.pi)]].tolist()
+    for c, (i, angle) in enumerate(trials):
+        values = local[:, :, c].tolist()
         for a, n in enumerate(orders):
             for k in degrees:
                 record = {"trial": i, "k": k, "n": n, "atom_angle": angle}

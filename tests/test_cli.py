@@ -478,8 +478,10 @@ ONE_ATOM_TUPLE = '{"entries": [%s]}' % ATOM
         # the Gram entries of a mass of 1e308 overflow to inf
         ("gram", {"measures": ONE_ATOM_TUPLE.replace('"mass": 1.0', '"mass": 1e308')},
          ["--degree", "3"]),
+        # numpy refuses the 142 PiB section at once, allocating nothing
+        ("gram", {"measures": ONE_ATOM_TUPLE}, ["--degree", "100000000"]),
     ],
-    ids=["defects-overflow", "gram-inf"],
+    ids=["defects-overflow", "gram-inf", "gram-beyond-memory"],
 )
 def test_an_overflowing_result_exits_two(command, files, extra):
     code, err = _cli_exit(command, files, *extra)
@@ -520,9 +522,14 @@ BEYOND = '{"coeffs": [[1.7e308, 0], [1.7e308, 0]]}'
          ["--atom", "0", "--n", "1"],
          "error: no boundary value at lam=1.000000+0.000000j: "
          "f diverges along the radius\n"),
+        # exp(i nan) and exp(i inf) are NaN points, not off-range values
+        ("decompose", {"function": BEYOND}, ["--atom", "nan", "--n", "1"],
+         "error: boundary point must lie on the unit circle\n"),
+        ("decompose", {"function": BEYOND}, ["--atom", "inf", "--n", "1"],
+         "error: boundary point must lie on the unit circle\n"),
     ],
     ids=["eval-exact", "defects", "eval-quadrature", "eval-beyond", "eval-beyond-two-atoms",
-         "decompose-beyond", "decompose-beyond-truncation"],
+         "decompose-beyond", "decompose-beyond-truncation", "decompose-nan", "decompose-inf"],
 )
 def test_an_overflowing_square_is_named_without_a_warning(command, files, extra, message):
     with warnings.catch_warnings():

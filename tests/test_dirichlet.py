@@ -33,7 +33,11 @@ from dirikit import (
     szego_kernel_energy,
     szego_potential,
 )
-from dirikit.dirichlet import _exact_power_series, _multiplication_section
+from dirikit.dirichlet import (
+    _exact_power_series,
+    _local_integrals,
+    _multiplication_section,
+)
 from dirikit.functions import times_linear
 
 
@@ -767,6 +771,14 @@ def test_parts_are_the_one_part_integrals_and_weigh_to_the_value():
             alone = dirichlet_weighted(f, single, order, spec, force_quadrature=forced)
             assert alone.parts == (alone.value,)
             assert part.hex() == alone.value.hex(), case
+        if f.exact and not forced:
+            # every atom twice: each column is its point's one-point integral
+            atoms = measure.atoms * 2
+            columns = _local_integrals(f, [a.point for a in atoms], order)
+            for atom, column in zip(atoms, columns, strict=True):
+                alone = dirichlet_weighted(f, CircleMeasure.point_mass(atom.angle), order)
+                assert [column.hex()] == [p.hex() for p in alone.parts], case
+    assert _local_integrals(AnalyticFunction((1.0, 2.0)), [], 1) == []
 
 
 def test_an_overflowing_square_names_its_coefficient_and_order():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from dirikit import (
+    AnalyticFunction,
     Atom,
     CircleMeasure,
     MeasureTuple,
+    dirichlet_weighted,
     szego_potential,
 )
 
@@ -40,6 +42,17 @@ def test_rejects_duplicate_atoms():
 def test_rejects_wraparound_duplicates():
     with pytest.raises(ValueError):
         CircleMeasure((Atom(0.0, 1.0), Atom(2 * math.pi - 1e-12, 1.0)))
+
+
+def test_angles_normalize_once_into_the_half_open_circle():
+    # -1e-17 % (2 pi) rounds to 2 pi itself, the same point as 0
+    measure = CircleMeasure.point_mass(-1e-17)
+    assert measure.atoms[0].angle == 0.0
+    assert CircleMeasure(measure.atoms).atoms == measure.atoms
+    assert CircleMeasure.from_json(measure.to_json()) == measure
+    result = dirichlet_weighted(AnalyticFunction.monomial(2), measure, 1)
+    (part,) = result.to_json()["parts"]
+    assert 0.0 <= part["angle"] < 2 * math.pi
 
 
 def test_rejects_nonpositive_mass():
