@@ -6,7 +6,9 @@ any byte of these reports fails here.  ``verify all --seed 42`` is pinned
 by criterion 12 in ``test_acceptance.py``.  The ``douglas`` and ``tmap``
 cases run with ``--tol -1``, so every trial fails and the report lists
 each observed and expected value; they exit 1.  So do the ``szego`` and
-``monomial`` cases, which pin every value those suites compute.
+``monomial`` cases, which pin every value those suites compute, and the
+``dilation``, ``multiplier``, ``isometry`` and ``vsubspace`` cases, which
+pin every value of their exact-route integrals.
 """
 
 from pathlib import Path
@@ -48,6 +50,18 @@ CASES = {
         "verify", "monomial", "--trials", "6", "--n", "3", "--tol", "-1",
         "--seed", "42",
     ],
+    "golden-verify-dilation.json": [
+        "verify", "dilation", "--trials", "40", "--seed", "3", "--tol", "-1",
+    ],
+    "golden-verify-multiplier.json": [
+        "verify", "multiplier", "--trials", "40", "--seed", "3", "--tol", "-1",
+    ],
+    "golden-verify-isometry.json": [
+        "verify", "isometry", "--trials", "30", "--seed", "3", "--tol", "-1",
+    ],
+    "golden-verify-vsubspace.json": [
+        "verify", "vsubspace", "--trials", "30", "--seed", "3", "--tol", "-1",
+    ],
 }
 #: Cases whose reports list failures on purpose.
 EXIT = {
@@ -55,6 +69,10 @@ EXIT = {
     "golden-verify-tmap.json": 1,
     "golden-verify-szego.json": 1,
     "golden-verify-monomial.json": 1,
+    "golden-verify-dilation.json": 1,
+    "golden-verify-multiplier.json": 1,
+    "golden-verify-isometry.json": 1,
+    "golden-verify-vsubspace.json": 1,
 }
 
 
