@@ -26,6 +26,7 @@ import numpy as np
 
 from .functions import (
     AnalyticFunction,
+    _coefficient_block,
     _divide_by_roots,
     _values_on_circle,
     boundary_value,
@@ -170,9 +171,18 @@ def dirichlet_sigma(f: AnalyticFunction, order: int) -> DirichletResult:
     """
     if order < 0:
         raise ValueError("order must be non-negative")
-    with np.errstate(over="ignore"):
-        (total,) = _sigma_sums(f.coeffs, order)
+    (total,) = _series_sums([f], order)
     return DirichletResult(total, "series", 0.0, order)
+
+
+def _series_sums(functions, order: int) -> list[float]:
+    """The order-``order`` coefficient series of each function, from one
+    :func:`_sigma_sums` over their coefficient block."""
+    coeffs, _ = _coefficient_block(functions)
+    with np.errstate(over="ignore"):
+        sums = _sigma_sums(coeffs, order)
+    # one function, alone or repeated, has one vector and one sum
+    return sums * len(functions) if coeffs.ndim == 1 else sums
 
 
 def dirichlet_sigma_inner(
@@ -198,9 +208,10 @@ def dirichlet_weighted(
     The measure splits into its arc-length multiple and its atoms; the
     result lists the local integral of each part at unit mass and weighs
     them with :meth:`CircleMeasure.weigh`, arc length first.  Exact
-    polynomials take the decomposition route, one division and one
-    coefficient series for all atoms of the measure, and the coefficient
-    series for the arc-length part.  Truncations integrate their atoms
+    polynomials take the decomposition route, the one-pair case of
+    :func:`_exact_values`: one division and one coefficient series for
+    all atoms of the measure, and the coefficient series for the
+    arc-length part.  Truncations integrate their atoms
     numerically, and ``force_quadrature`` integrates every part
     numerically; the numerical parts come from one
     ``poisson_weighted_energy`` call, on the grid
@@ -211,52 +222,79 @@ def dirichlet_weighted(
         raise ValueError(
             "order must be positive; use dirichlet_atomic_order_zero for order 0"
         )
+    if not (force_quadrature and measure.total_mass > 0
+            or measure.atoms and not f.exact):
+        ((value, parts),) = _exact_values([(f, measure)], order)
+        method = "decomposition" if measure.atoms else "series"
+        return DirichletResult(value, method, 0.0, order, parts=parts,
+                               measure=measure)
     parts = []
     estimates = []
-    method = "series"
     if measure.lebesgue > 0 and not force_quadrature:
         parts.append(dirichlet_sigma(f, order).value)
         estimates.append(0.0)
-    if force_quadrature or not f.exact:
-        # the parts left to quadrature share one sampling of f^(n)
-        sampled = measure if force_quadrature else CircleMeasure(measure.atoms)
-        if sampled.total_mass > 0:
-            spec = QuadratureSpec.choose(spec, f.degree, order, f.exact)
-            df = derivative(f, order)
-            for value, est in poisson_weighted_energy(
-                lambda z: evaluate(df, z), order, spec, sampled
-            ):
-                parts.append(value)
-                estimates.append(est)
-            return DirichletResult(
-                measure.weigh(parts), "quadrature", measure.weigh(estimates),
-                order, spec, tuple(parts), measure,
-            )
-    elif measure.atoms:
-        parts += _local_integrals(f, [atom.point for atom in measure.atoms], order)
-        method = "decomposition"
+    # the parts left to quadrature share one sampling of f^(n)
+    sampled = measure if force_quadrature else CircleMeasure(measure.atoms)
+    spec = QuadratureSpec.choose(spec, f.degree, order, f.exact)
+    df = derivative(f, order)
+    for value, est in poisson_weighted_energy(
+        lambda z: evaluate(df, z), order, spec, sampled
+    ):
+        parts.append(value)
+        estimates.append(est)
     return DirichletResult(
-        measure.weigh(parts), method, 0.0, order, parts=tuple(parts),
-        measure=measure,
+        measure.weigh(parts), "quadrature", measure.weigh(estimates),
+        order, spec, tuple(parts), measure,
     )
 
 
-def _local_integrals(f: AnalyticFunction, points, order: int) -> list[float]:
-    """Unit-mass local integrals of an exact polynomial at unimodular points.
+def _exact_values(pairs, order: int) -> list[tuple[float, tuple[float, ...]]]:
+    """Exact-route integrals of (f, measure) pairs at one positive order.
 
-    The local Douglas formula at every point at once: column j is the
-    quotient (f - f(lam_j)) / (z - lam_j), integrated one order down.
-    Points may repeat; no points give no integrals.
+    Each pair gets its value and its unit-mass parts, arc length first,
+    as :func:`dirichlet_weighted` lists them.  The arc-length parts of all
+    pairs come from one coefficient series over their block, the atoms
+    of all pairs from one batch of local integrals with a column per
+    (f, atom), and each value from :meth:`CircleMeasure.weigh`.  A pair
+    with atoms needs an exact f.
+    """
+    arcs = [f for f, measure in pairs if measure.lebesgue > 0]
+    arc = iter(_series_sums(arcs, order) if arcs else ())
+    local = _local_integrals(
+        [f for f, measure in pairs for _ in measure.atoms],
+        [atom.point for _, measure in pairs for atom in measure.atoms],
+        order,
+    )
+    results = []
+    start = 0
+    for _, measure in pairs:
+        stop = start + len(measure.atoms)
+        head = (next(arc),) if measure.lebesgue > 0 else ()
+        parts = head + tuple(local[start:stop])
+        results.append((measure.weigh(parts), parts))
+        start = stop
+    return results
+
+
+def _local_integrals(functions, points, order: int) -> list[float]:
+    """Unit-mass local integrals of exact polynomials at unimodular points.
+
+    The local Douglas formula for every (f, lam) column at once, f from
+    ``functions`` and lam from ``points``: column j is the quotient
+    (f_j - f_j(lam_j)) / (z - lam_j), integrated one order down.  The
+    functions may differ in degree, and points may repeat; no columns
+    give no integrals.
     """
     if len(points) == 0:
         return []
+    coeffs, degrees = _coefficient_block(functions)
     points = np.array(points)
-    # a lone point steps on numpy scalars, about ten times faster than
-    # on one-element arrays
+    # a lone column steps on numpy scalars (see _coefficient_block)
     roots = points[0] if len(points) == 1 else points
     # one errstate for the route, whose overflows raise by name
     with np.errstate(over="ignore", invalid="ignore"):
-        quotients, _ = _divide_by_roots(f, roots, _values_on_circle(f, roots))
+        values = _values_on_circle(coeffs, roots)
+        quotients, _ = _divide_by_roots(coeffs, degrees, roots, values, True)
         return _sigma_sums(quotients, order - 1)
 
 

@@ -113,24 +113,64 @@ def evaluate(f: AnalyticFunction, z):
     points with ``|z| <= 1``.
     """
     zs = np.asarray(z, dtype=complex)
-    if np.any(np.abs(zs) > 1.0 + 1e-12):
+    # written so that a NaN point fails it too
+    if not np.all(np.abs(zs) <= 1.0 + 1e-12):
         raise ValueError("evaluation point outside the closed unit disc")
-    acc = np.zeros_like(zs)
     # Python complex operands: numpy adds them faster than the numpy
     # scalars that iterating the array yields
-    for c in reversed(f.coeffs.tolist()):
-        acc = acc * zs + c
+    acc = _horner(f.coeffs.tolist(), zs)
     if np.isscalar(z) or zs.ndim == 0:
         return complex(acc)
     return acc
 
 
-def _values_on_circle(f: AnalyticFunction, lams):
-    """:func:`evaluate` at unimodular points, under the caller's
+def _horner(rows, zs):
+    """The sum of ``rows[k] * zs**k`` by Horner's rule.
+
+    Row k is a number, or an array with one entry per point of ``zs``.
+    """
+    acc = np.zeros_like(zs)
+    for c in reversed(rows):
+        acc = acc * zs + c
+    return acc
+
+
+def _coefficient_block(functions):
+    """The coefficients of many functions side by side, with their degrees.
+
+    Column j holds the coefficients of ``functions[j]``, zero-padded up
+    to the highest degree, and ``degrees[j]`` its own degree.  One
+    function, alone or repeated, gives its own coefficient vector and
+    degree instead: :func:`_values_on_circle` and :func:`_divide_by_roots`
+    step with its coefficients as Python numbers, and at a lone point
+    with numpy scalars, about ten times faster than on a one-column block.
+    """
+    first = functions[0]
+    if all(f is first for f in functions):
+        return first.coeffs, first.degree
+    vectors = [f.coeffs for f in functions]
+    degrees = np.array([len(a) for a in vectors]) - 1
+    # filled one function per row, which is faster, then transposed
+    block = np.zeros((len(vectors), degrees.max() + 1), dtype=complex)
+    for row, a in zip(block, vectors):
+        row[: len(a)] = a
+    return np.ascontiguousarray(block.T), degrees
+
+
+def _values_on_circle(coeffs, lams):
+    """Values of polynomials at unimodular points.
+
+    ``coeffs`` is one coefficient vector and ``lams`` one point, or
+    ``coeffs`` is a block (:func:`_coefficient_block`) and column j is
+    evaluated at ``lams[j]``.  It runs under the caller's
     ``np.errstate(over="ignore", invalid="ignore")``; a value beyond the
-    float range raises ``OverflowError`` naming its point."""
-    values = evaluate(f, lams)
-    # cmath checks the scalar of a lone point faster than np.isfinite
+    float range raises ``OverflowError`` naming its point.
+    """
+    values = _horner(coeffs.tolist() if coeffs.ndim == 1 else coeffs,
+                     np.asarray(lams, dtype=complex))
+    if values.ndim == 0:
+        # cmath checks the scalar of a lone point faster than np.isfinite
+        values = complex(values)
     if not (cmath.isfinite(values) if isinstance(values, complex)
             else np.isfinite(values).all()):
         lam = np.ravel(lams)[~np.isfinite(np.ravel(values))][0]
@@ -209,46 +249,57 @@ def divide_by_root(
     # written so that a NaN point fails it too
     if not abs(abs(lam) - 1.0) <= 1e-9:
         raise ValueError("division point must lie on the unit circle")
-    out, _ = _divide_by_roots(f, np.complex128(lam), alpha)
+    out, _ = _divide_by_roots(f.coeffs, f.degree, np.complex128(lam), alpha, f.exact)
     return AnalyticFunction(out, f.exact)
 
 
-def _divide_by_roots(f: AnalyticFunction, lams, alphas):
-    """Synthetic division of f - alpha by z - lam for one root or many.
+def _divide_by_roots(coeffs, degrees, lams, alphas, exact: bool):
+    """Synthetic division of f - alpha by z - lam, for one f or many.
 
-    ``lams`` is a numpy complex scalar or a 1-D array of unimodular
-    roots, and ``alphas`` holds the matching values.  Row k of the
-    returned quotient holds g_k, with one column per root (none for a
-    scalar root); a constant f has the single row g_0 = 0.  The residues
-    |g_(N-1) - a_N| of :func:`divide_by_root` come back alongside.
+    ``coeffs`` is the coefficient vector of f with a numpy complex
+    scalar root ``lams``, or a block (:func:`_coefficient_block`) with a
+    1-D array of unimodular roots, one per column; ``degrees`` holds the
+    degree of f, or of each column, and ``alphas`` the matching values.
+    Row k of the returned quotient holds g_k, one per column; rows past a
+    column's own degree are zero, and a constant f has the single row
+    g_0 = 0.  The residues |g_(d-1) - a_d| of :func:`divide_by_root`,
+    read at each column's own degree d, come back alongside.
 
     Every column runs the float operations of a one-root division,
     numpy's complex division from the constant term upward, so columns
     match one-root calls bit for bit.  A non-finite quotient raises
-    ``ValueError``, as building it would; an exact f with a residue
-    above the tolerance raises :class:`InexactDivisionError` naming the
-    root with the largest one.
+    ``ValueError``, as building it would.  When ``exact``, a column
+    whose residue exceeds ``1e-9 * max(1, max |a_k|)``, over its own
+    coefficients, raises :class:`InexactDivisionError` naming its root;
+    of several, the one with the largest residue.
     """
-    a = f.coeffs
     # numpy arithmetic throughout, even for a Python complex alpha
     prev = np.asarray(alphas, dtype=complex)[()]
-    rows = []
-    for c in a[:-1].tolist():
+    rows = [prev]
+    for c in coeffs[:-1].tolist() if coeffs.ndim == 1 else coeffs[:-1]:
         prev = (prev - c) / lams
         rows.append(prev)
-    # g_(-1) = alpha: a constant f leaves the residue |alpha - a_0|
-    gap = prev - a[-1]
+    # row k is g_(k-1), with g_(-1) = alpha: a constant leaves |alpha - a_0|
+    g = np.array(rows)
+    out = g[1:] if len(g) > 1 else np.zeros((1, *np.shape(lams)), dtype=complex)
+    if coeffs.ndim == 1:
+        gap = prev - coeffs[-1]
+    else:
+        columns = np.arange(len(degrees))
+        gap = g[degrees, columns] - coeffs[degrees, columns]
+        # the rows past a column's own degree divide its zero padding
+        out[np.arange(len(out))[:, None] >= degrees] = 0
     residues = np.hypot(gap.real, gap.imag)
-    out = np.array(rows) if rows else np.zeros((1, *np.shape(lams)), dtype=complex)
     if not np.isfinite(out).all():
         raise ValueError("coefficients must be finite")
-    if f.exact:
-        worst = int(np.argmax(residues))
-        residue = np.ravel(residues)[worst]
-        # the tolerance is at least 1e-9, so most divisions skip building it
-        if residue > 1e-9 and residue > 1e-9 * max(1.0, float(np.max(np.abs(a)))):
+    # the tolerance is at least 1e-9, so most divisions skip building it
+    if exact and np.any(residues > 1e-9):
+        scales = np.maximum(1.0, np.max(np.abs(coeffs), axis=0))
+        excess = np.ravel(np.where(residues > 1e-9 * scales, residues, 0.0))
+        if excess.any():
+            worst = int(np.argmax(excess))
             raise InexactDivisionError(
-                f"inexact division: remainder {residue:.3e} "
+                f"inexact division: remainder {excess[worst]:.3e} "
                 f"at lam={complex(np.ravel(lams)[worst])}"
             )
     return out, residues
@@ -270,7 +321,7 @@ def boundary_value(f: AnalyticFunction, lam: complex) -> complex:
         raise ValueError("boundary point must lie on the unit circle")
     with np.errstate(over="ignore", invalid="ignore"):
         if f.exact:
-            return _values_on_circle(f, lam)
+            return _values_on_circle(f.coeffs, lam)
         samples = np.array(
             [evaluate(f, (1.0 - 2.0**-k) * lam) for k in _BOUNDARY_RADII_EXPONENTS]
         )

@@ -17,9 +17,9 @@ import numpy as np
 
 from .dirichlet import (
     _binomial_row,
+    _exact_values,
+    _series_sums,
     dirichlet_atomic_order_zero,
-    dirichlet_sigma,
-    dirichlet_weighted,
 )
 from .functions import AnalyticFunction, multiply
 from .measures import CircleMeasure, MeasureTuple
@@ -28,6 +28,9 @@ logger = logging.getLogger(__name__)
 
 #: Below this, a defect or an order-zero integral counts as vanishing.
 VANISHING_TOLERANCE = 1e-9
+#: Shifts z^k f whose norms one exact-route batch computes; a bound keeps
+#: a batch's coefficient block small at high orders.
+_SHIFT_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -75,14 +78,26 @@ class DefectKernelCheck:
 
 def tuple_norm_sq(f: AnalyticFunction, measures: MeasureTuple) -> float:
     """Squared tuple norm: Hardy part plus the order-j weighted integrals."""
-    if not f.exact:
+    (total,) = _tuple_norms([f], measures)
+    return total
+
+
+def _tuple_norms(functions, measures: MeasureTuple) -> list[float]:
+    """Squared tuple norms of exact polynomials, side by side.
+
+    One coefficient series gives every Hardy part, and one exact-route
+    batch per tuple entry every order-j integral; each norm adds them in
+    entry order, as :func:`tuple_norm_sq` of that function alone does.
+    """
+    if not all(f.exact for f in functions):
         raise ValueError("tuple norms are defined for exact polynomials only")
-    total = dirichlet_sigma(f, 0).value
+    totals = _series_sums(functions, 0)
     for j, measure in enumerate(measures.entries, start=1):
         if measure.total_mass == 0:
             continue
-        total += dirichlet_weighted(f, measure, j).value
-    return total
+        values = _exact_values([(f, measure) for f in functions], j)
+        totals = [total + value for total, (value, _) in zip(totals, values)]
+    return totals
 
 
 def _atom_pair_matrix(angle: float, order: int, degree: int) -> np.ndarray:
@@ -146,11 +161,15 @@ def defect_sequence(
     For a length-m tuple of atomic or arc-length measures, beta_k is a
     polynomial of degree at most m in k, so the (m+1)-th differences
     vanish; the gap from zero measures how exactly the shift realizes the
-    (m+1)-isometry identity.
+    (m+1)-isometry identity.  The norms of up to ``_SHIFT_BATCH`` shifts
+    come from one exact-route batch per tuple entry.
     """
     if max_order < 1:
         raise ValueError("max_order must be positive")
-    beta = [tuple_norm_sq(_shift(f, k), measures) for k in range(max_order + 1)]
+    beta = []
+    for start in range(0, max_order + 1, _SHIFT_BATCH):
+        top = min(start + _SHIFT_BATCH, max_order + 1)
+        beta += _tuple_norms([_shift(f, k) for k in range(start, top)], measures)
     differences = {
         p: forward_differences(beta, p) for p in range(1, max_order + 1)
     }

@@ -14,6 +14,7 @@ A check fails when its residual exceeds the suite tolerance or its own.
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 import time
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dirichlet import (
+    _exact_values,
     _local_integrals,
     atomic_decompose,
     dilation_factor,
@@ -52,6 +54,9 @@ from .quadrature import QuadratureSpec
 _DRAW_DEGREE = 12
 _MONOMIAL_DEGREE = 15
 _SZEGO_DEGREE = 60
+#: Trials whose exact-route integrals one batch computes together; a
+#: bound keeps the live trials of a batch few.
+_TRIAL_BATCH = 20
 
 
 def _json_number(value: float) -> float | str:
@@ -283,6 +288,28 @@ def _random_measure(rng: np.random.Generator) -> CircleMeasure:
     return CircleMeasure(atomic.atoms, float(rng.uniform(0.2, 2.0)))
 
 
+def _batches(draws):
+    """The (index, generator) draws in lists of up to ``_TRIAL_BATCH``."""
+    while batch := list(itertools.islice(draws, _TRIAL_BATCH)):
+        yield batch
+
+
+def _exact_integrals(jobs) -> list[list[float]]:
+    """Values of each trial's (f, measure) pairs, one exact-route call
+    per order.
+
+    ``jobs`` holds the (order, pairs) of each trial; the result holds
+    each trial's values in the order of its pairs.
+    """
+    values = [[] for _ in jobs]
+    for n in dict.fromkeys(n for n, _ in jobs):
+        mine = [t for t, (m, _) in enumerate(jobs) if m == n]
+        results = iter(_exact_values([p for t in mine for p in jobs[t][1]], n))
+        for t in mine:
+            values[t] = [next(results)[0] for _ in jobs[t][1]]
+    return values
+
+
 @_suite(trials=50, tolerance=1e-12, orders=[1, 2, 3, 4], highest_order=_MONOMIAL_DEGREE)
 def run_monomial(rec: _Recorder, draws, orders) -> None:
     """Local integral of z^k at any atom equals binom(k, n).
@@ -303,7 +330,7 @@ def run_monomial(rec: _Recorder, draws, orders) -> None:
     for a, n in enumerate(orders):
         for k in degrees:
             zk = AnalyticFunction.monomial(k)
-            local[a, k] = _local_integrals(zk, points, n)
+            local[a, k] = _local_integrals([zk] * len(points), points, n)
             sigma[n, k] = dirichlet_sigma(zk, n).value
     for c, (i, angle) in enumerate(trials):
         values = local[:, :, c].tolist()
@@ -428,18 +455,25 @@ def run_dilation(rec: _Recorder, draws, orders) -> None:
     """Dilation bound: energy of f(rz) against the contraction factor.
 
     Also sweeps the closed-form factor over a 1000-point radius grid for
-    orders up to 6 to confirm it never exceeds 1.
+    orders up to 6 to confirm it never exceeds 1.  The energies of each
+    batch of trials come from one exact-route call per order.
     """
     radii = [0.1 * k for k in range(1, 10)]
-    for i, rng in draws:
-        n = orders[i % len(orders)]
-        f = _random_polynomial(rng)
-        r = radii[int(rng.integers(0, len(radii)))]
-        measure = _random_measure(rng)
-        lhs = dirichlet_weighted(dilate(f, r), measure, n).value
-        bound = dilation_factor(r, n) * dirichlet_weighted(f, measure, n).value
-        record = {"trial": i, "n": n, "r": r, "degree": f.degree}
-        rec.upper_bound(record, lhs, bound)
+    for batch in _batches(draws):
+        trials = []
+        for i, rng in batch:
+            n = orders[i % len(orders)]
+            f = _random_polynomial(rng)
+            r = radii[int(rng.integers(0, len(radii)))]
+            trials.append((i, n, f, r, _random_measure(rng)))
+        values = _exact_integrals([
+            (n, [(dilate(f, r), measure), (f, measure)])
+            for _, n, f, r, measure in trials
+        ])
+        for (i, n, f, r, _), (lhs, energy) in zip(trials, values):
+            bound = dilation_factor(r, n) * energy
+            record = {"trial": i, "n": n, "r": r, "degree": f.degree}
+            rec.upper_bound(record, lhs, bound)
     for n in range(1, 7):
         for r in np.linspace(0.0, 1.0, 1000, endpoint=False):
             factor = dilation_factor(float(r), n)
@@ -493,36 +527,43 @@ def run_multiplier(rec: _Recorder, draws, orders) -> None:
     certified upper bound taken at doubled section degree.  The
     inequalities presuppose a non-degenerate local integral of f, so f is
     drawn with degree at least n.  The sum over k is the full norm of one
-    quotient g_f, so it is read off the coefficient series of g_f.
+    quotient g_f, so it is read off the coefficient series of g_f.  D_n(phi f)
+    and D_n(phi) of each batch of trials come from one exact-route call
+    per order.
     """
-    for i, rng in draws:
-        n = orders[i % len(orders)]
-        phi = _random_polynomial(rng, max_degree=6)
-        f = _random_polynomial(rng, min_degree=n)
-        angle = _random_angle(rng)
-        lam = np.exp(1j * angle)
-        measure = CircleMeasure.point_mass(angle)
-        section = (n - 1) + phi.degree + 16
-        upper = multiplier_norm_upper(phi, n - 1, 2 * section)
-        product = multiply(phi, f, max_degree=phi.degree + f.degree)
-        d_pf = dirichlet_weighted(product, measure, n).value
-        f_lam = evaluate(f, lam)
-        g = divide_by_root(f, lam, f_lam)
-        d_f = sum(dirichlet_sigma(g, k).value for k in range(n))
-        d_p = dirichlet_weighted(phi, measure, n).value
-        fstar = abs(f_lam) ** 2
-        record = {"trial": i, "n": n, "deg_phi": phi.degree,
-                  "deg_f": f.degree, "atom_angle": angle}
-        rec.upper_bound(
-            {**record, "check": "product-bound"},
-            d_pf,
-            2.0 * upper**2 * d_f + 2.0 * fstar * d_p,
-        )
-        rec.upper_bound(
-            {**record, "check": "boundary-bound"},
-            fstar * d_p,
-            2.0 * upper**2 * d_f + 2.0 * d_pf,
-        )
+    for batch in _batches(draws):
+        trials = []
+        for i, rng in batch:
+            n = orders[i % len(orders)]
+            phi = _random_polynomial(rng, max_degree=6)
+            f = _random_polynomial(rng, min_degree=n)
+            angle = _random_angle(rng)
+            trials.append((i, n, phi, f, angle, CircleMeasure.point_mass(angle)))
+        values = _exact_integrals([
+            (n, [(multiply(phi, f, max_degree=phi.degree + f.degree), measure),
+                 (phi, measure)])
+            for _, n, phi, f, _, measure in trials
+        ])
+        for (i, n, phi, f, angle, _), (d_pf, d_p) in zip(trials, values):
+            lam = np.exp(1j * angle)
+            section = (n - 1) + phi.degree + 16
+            upper = multiplier_norm_upper(phi, n - 1, 2 * section)
+            f_lam = evaluate(f, lam)
+            g = divide_by_root(f, lam, f_lam)
+            d_f = sum(dirichlet_sigma(g, k).value for k in range(n))
+            fstar = abs(f_lam) ** 2
+            record = {"trial": i, "n": n, "deg_phi": phi.degree,
+                      "deg_f": f.degree, "atom_angle": angle}
+            rec.upper_bound(
+                {**record, "check": "product-bound"},
+                d_pf,
+                2.0 * upper**2 * d_f + 2.0 * fstar * d_p,
+            )
+            rec.upper_bound(
+                {**record, "check": "boundary-bound"},
+                fstar * d_p,
+                2.0 * upper**2 * d_f + 2.0 * d_pf,
+            )
 
 
 @_suite(trials=100, tolerance=1e-10)

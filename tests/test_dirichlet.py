@@ -33,12 +33,14 @@ from dirikit import (
     szego_kernel_energy,
     szego_potential,
 )
+from dirikit import dirichlet
 from dirikit.dirichlet import (
     _exact_power_series,
+    _exact_values,
     _local_integrals,
     _multiplication_section,
 )
-from dirikit.functions import times_linear
+from dirikit.functions import InexactDivisionError, times_linear
 
 
 def mono(k):
@@ -742,9 +744,10 @@ def test_batched_decomposition_matches_a_per_atom_reference_bit_for_bit():
             assert result.value.hex() == expected.hex(), (degree, len(atoms), order)
 
 
-def test_parts_are_the_one_part_integrals_and_weigh_to_the_value():
+def test_parts_are_the_one_part_integrals_and_weigh_to_the_value(monkeypatch):
     # every route: exact polynomials, truncations, forced quadrature
     rng = np.random.default_rng(11)
+    exact_cases = []
     for case in range(60):
         degree = int(rng.integers(0, 13))
         coeffs = rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
@@ -772,13 +775,63 @@ def test_parts_are_the_one_part_integrals_and_weigh_to_the_value():
             assert alone.parts == (alone.value,)
             assert part.hex() == alone.value.hex(), case
         if f.exact and not forced:
+            exact_cases.append((f, measure, order, result))
             # every atom twice: each column is its point's one-point integral
             atoms = measure.atoms * 2
-            columns = _local_integrals(f, [a.point for a in atoms], order)
+            columns = _local_integrals([f] * len(atoms), [a.point for a in atoms], order)
             for atom, column in zip(atoms, columns, strict=True):
                 alone = dirichlet_weighted(f, CircleMeasure.point_mass(atom.angle), order)
                 assert [column.hex()] == [p.hex() for p in alone.parts], case
-    assert _local_integrals(AnalyticFunction((1.0, 2.0)), [], 1) == []
+    # the pairs of one order in one batch, each twice: each is its own integral
+    for order in range(1, 5):
+        cases = [case for case in exact_cases if case[2] == order] * 2
+        batch = _exact_values([(f, measure) for f, measure, _, _ in cases], order)
+        for (value, parts), (*_, result) in zip(batch, cases, strict=True):
+            assert [p.hex() for p in parts] == [p.hex() for p in result.parts]
+            assert value.hex() == result.value.hex()
+        # one function, with arc length, in every pair
+        f, measure, _, _ = cases[0]
+        measure = CircleMeasure(measure.atoms, 0.7)
+        result = dirichlet_weighted(f, measure, order)
+        alike = _exact_values([(f, measure)] * 3, order)
+        assert alike == [(result.value, result.parts)] * 3
+    # columns of mixed degree: constants, degrees below the order, degrees
+    # up to 16, and repeated points; each is its own one-point integral
+    for order in range(1, 5):
+        degrees = [0, max(order - 2, 0), order - 1, order, 16]
+        degrees += rng.integers(0, 17, 40).tolist()
+        fs = [
+            AnalyticFunction(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+            for d in degrees
+        ]
+        angles = rng.uniform(0.0, 2.0 * math.pi, 7).tolist()
+        atoms = [Atom(angles[j % 7], 1.0) for j in range(len(fs))]
+        columns = _local_integrals(fs, [a.point for a in atoms], order)
+        for f, atom, column in zip(fs, atoms, columns, strict=True):
+            alone = dirichlet_weighted(f, CircleMeasure.point_mass(atom.angle), order)
+            assert [column.hex()] == [p.hex() for p in alone.parts], (order, f.degree)
+    assert _local_integrals([], [], 1) == []
+    assert _exact_values([], 1) == []
+    # a failing column fails a block whose other columns are fine, by name
+    fine = AnalyticFunction((1e4, 1e4, -1e4))
+    small = AnalyticFunction((0.5, 1.0, 0.25j))
+    points = [cmath.exp(0.5j), cmath.exp(1.5j), cmath.exp(2.5j)]
+    values_on_circle = dirichlet._values_on_circle
+
+    def off_by(shift):
+        def values(coeffs, lams):
+            return values_on_circle(coeffs, lams) + shift
+        return values
+
+    # 1e-6 is within 1e-9 * 1e4 for the large columns, not for the small one
+    monkeypatch.setattr(dirichlet, "_values_on_circle", off_by(1e-6))
+    with pytest.raises(InexactDivisionError, match=r"at lam=\(0\.0707"):
+        _local_integrals([fine, small, fine], points, 2)
+    _local_integrals([fine, fine], points[:2], 2)
+    monkeypatch.undo()
+    huge = AnalyticFunction((1.7e308, 1.7e308))
+    with pytest.raises(OverflowError, match=r"lam=0\.070737\+0\.997495j exceeds"):
+        _local_integrals([fine, huge, small], points, 2)
 
 
 def test_an_overflowing_square_names_its_coefficient_and_order():

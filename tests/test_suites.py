@@ -174,3 +174,21 @@ def test_quadrature_suites_leave_the_grid_to_each_integral(monkeypatch):
     spec = QuadratureSpec(64, 128)
     assert run_douglas(trials=2, spec=spec).passed
     assert seen[4:] == [spec, spec]
+
+
+@pytest.mark.parametrize("name", ["dilation", "multiplier"])
+def test_trial_batches_do_not_move_a_trial(name):
+    # trial i is seeded by (seed, i) alone: a run of T trials lists the
+    # failures of the first T trials of a longer run, wherever the batch
+    # boundaries fall
+    batch = dirikit.suites._TRIAL_BATCH
+
+    def trial_failures(trials):
+        report = run_suite(name, trials=trials, seed=3, tolerance=-1)
+        return [f.to_json() for f in report.failures if "trial" in f.record]
+
+    longer = trial_failures(2 * batch + 7)
+    assert {f["record"]["trial"] for f in longer} == set(range(2 * batch + 7))
+    for trials in (0, 1, batch + 1):
+        head = [f for f in longer if f["record"]["trial"] < trials]
+        assert trial_failures(trials) == head
