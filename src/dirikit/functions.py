@@ -256,13 +256,13 @@ def divide_by_root(
 def _divide_by_roots(coeffs, degrees, lams, alphas, exact: bool):
     """Synthetic division of f - alpha by z - lam, for one f or many.
 
-    ``coeffs`` is the coefficient vector of f with a numpy complex
-    scalar root ``lams``, or a block (:func:`_coefficient_block`) with a
-    1-D array of unimodular roots, one per column; ``degrees`` holds the
-    degree of f, or of each column, and ``alphas`` the matching values.
-    Row k of the returned quotient holds g_k, one per column; rows past a
-    column's own degree are zero, and a constant f has the single row
-    g_0 = 0.  The residues |g_(d-1) - a_d| of :func:`divide_by_root`,
+    ``coeffs`` is the coefficient vector of one f, with a numpy complex
+    scalar root ``lams`` or a 1-D array of them, or a block
+    (:func:`_coefficient_block`) with one unimodular root per column;
+    ``degrees`` holds the degree of f, or of each column, and ``alphas``
+    the matching values.  Row k of the returned quotient holds g_k, one
+    per root; rows past a column's own degree are zero, and a constant f
+    has the single row g_0 = 0.  The residues |g_(d-1) - a_d| of :func:`divide_by_root`,
     read at each column's own degree d, come back alongside.
 
     Every column runs the float operations of a one-root division,
