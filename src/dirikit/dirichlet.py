@@ -35,7 +35,7 @@ from .functions import (
     evaluate,
     times_linear,
 )
-from .measures import CircleMeasure
+from .measures import Atom, CircleMeasure
 from .measures import szego_potential as _szego_potential
 from .quadrature import QuadratureSpec, poisson_weighted_energy
 
@@ -180,9 +180,7 @@ def _series_sums(functions, order: int) -> list[float]:
     :func:`_sigma_sums` over their coefficient block."""
     coeffs, _ = _coefficient_block(functions)
     with np.errstate(over="ignore"):
-        sums = _sigma_sums(coeffs, order)
-    # one function, alone or repeated, has one vector and one sum
-    return sums * len(functions) if coeffs.ndim == 1 else sums
+        return _sigma_sums(coeffs, order)
 
 
 def dirichlet_sigma_inner(
@@ -208,7 +206,7 @@ def dirichlet_weighted(
     The measure splits into its arc-length multiple and its atoms; the
     result lists the local integral of each part at unit mass and weighs
     them with :meth:`CircleMeasure.weigh`, arc length first.  Exact
-    polynomials take the decomposition route, the one-pair case of
+    polynomials take the decomposition route, the one-triple case of
     :func:`_exact_values`: one division and one coefficient series for
     all atoms of the measure, and the coefficient series for the
     arc-length part.  Truncations integrate their atoms
@@ -224,7 +222,7 @@ def dirichlet_weighted(
         )
     if not (force_quadrature and measure.total_mass > 0
             or measure.atoms and not f.exact):
-        ((value, parts),) = _exact_values([(f, measure)], order)
+        ((value, parts),) = _exact_values([(f, measure, order)])
         method = "decomposition" if measure.atoms else "series"
         return DirichletResult(value, method, 0.0, order, parts=parts,
                                measure=measure)
@@ -248,31 +246,32 @@ def dirichlet_weighted(
     )
 
 
-def _exact_values(pairs, order: int) -> list[tuple[float, tuple[float, ...]]]:
-    """Exact-route integrals of (f, measure) pairs at one positive order.
+def _exact_values(triples) -> list[tuple[float, tuple[float, ...]]]:
+    """Exact-route integrals of (f, measure, order) triples.
 
-    Each pair gets its value and its unit-mass parts, arc length first,
-    as :func:`dirichlet_weighted` lists them.  The arc-length parts of all
-    pairs come from one coefficient series over their block, the atoms
-    of all pairs from one batch of local integrals with a column per
-    (f, atom), and each value from :meth:`CircleMeasure.weigh`.  A pair
-    with atoms needs an exact f.
+    Each triple gets its value and its unit-mass parts, arc length first,
+    as :func:`dirichlet_weighted` lists them.  The triples of one order
+    share one coefficient series over the block of their arc-length
+    parts and one batch of local integrals with a column per (f, atom);
+    each value comes from :meth:`CircleMeasure.weigh`.  A triple with
+    atoms needs an exact f and a positive order; order 0 against arc
+    length is the squared Hardy norm.
     """
-    arcs = [f for f, measure in pairs if measure.lebesgue > 0]
-    arc = iter(_series_sums(arcs, order) if arcs else ())
-    local = _local_integrals(
-        [f for f, measure in pairs for _ in measure.atoms],
-        [atom.point for _, measure in pairs for atom in measure.atoms],
-        order,
-    )
-    results = []
-    start = 0
-    for _, measure in pairs:
-        stop = start + len(measure.atoms)
-        head = (next(arc),) if measure.lebesgue > 0 else ()
-        parts = head + tuple(local[start:stop])
-        results.append((measure.weigh(parts), parts))
-        start = stop
+    results = [None] * len(triples)
+    for order in dict.fromkeys(n for _, _, n in triples):
+        group = [(t, f, measure) for t, (f, measure, n) in enumerate(triples)
+                 if n == order]
+        arcs = [f for _, f, measure in group if measure.lebesgue > 0]
+        arc = iter(_series_sums(arcs, order) if arcs else ())
+        local = iter(_local_integrals(
+            [f for _, f, measure in group for _ in measure.atoms],
+            [atom.point for _, _, measure in group for atom in measure.atoms],
+            order,
+        ))
+        for t, _, measure in group:
+            head = (next(arc),) if measure.lebesgue > 0 else ()
+            parts = head + tuple(next(local) for _ in measure.atoms)
+            results[t] = (measure.weigh(parts), parts)
     return results
 
 
@@ -457,13 +456,14 @@ def atomic_decompose(
     The interpolant matches the boundary values of f at the atoms, so the
     difference divides by every root factor; the quotient comes out of
     iterated synthetic division.  The residual is the largest
-    coefficientwise gap of the rebuilt function against f.
+    coefficientwise gap of the rebuilt function against f.  The angles
+    must name distinct points by :class:`CircleMeasure`'s rule; f is
+    interpolated at them as given, in the given order.
     """
     if len(atom_angles) == 0:
         raise ValueError("need at least one atom")
+    CircleMeasure(tuple(Atom(a, 1.0) for a in atom_angles))
     points = [cmath.exp(1j * a) for a in atom_angles]
-    if len(set(atom_angles)) != len(atom_angles):
-        raise ValueError("atom angles must be distinct")
     values = [boundary_value(f, point) for point in points]
     interpolant = _lagrange_interpolant(points, values)
     quotient = f + (-1.0) * interpolant

@@ -139,15 +139,14 @@ def _coefficient_block(functions):
     """The coefficients of many functions side by side, with their degrees.
 
     Column j holds the coefficients of ``functions[j]``, zero-padded up
-    to the highest degree, and ``degrees[j]`` its own degree.  One
-    function, alone or repeated, gives its own coefficient vector and
-    degree instead: :func:`_values_on_circle` and :func:`_divide_by_roots`
-    step with its coefficients as Python numbers, and at a lone point
-    with numpy scalars, about ten times faster than on a one-column block.
+    to the highest degree, and ``degrees[j]`` its own degree.  A lone
+    function gives its own coefficient vector and degree instead:
+    :func:`_values_on_circle` and :func:`_divide_by_roots` step with its
+    coefficients as Python numbers, and at a lone point with numpy
+    scalars, about ten times faster than on a one-column block.
     """
-    first = functions[0]
-    if all(f is first for f in functions):
-        return first.coeffs, first.degree
+    if len(functions) == 1:
+        return functions[0].coeffs, functions[0].degree
     vectors = [f.coeffs for f in functions]
     degrees = np.array([len(a) for a in vectors]) - 1
     # filled one function per row, which is faster, then transposed
@@ -257,8 +256,8 @@ def _divide_by_roots(coeffs, degrees, lams, alphas, exact: bool):
     """Synthetic division of f - alpha by z - lam, for one f or many.
 
     ``coeffs`` is the coefficient vector of one f, with a numpy complex
-    scalar root ``lams`` or a 1-D array of them, or a block
-    (:func:`_coefficient_block`) with one unimodular root per column;
+    scalar root ``lams``, or a block (:func:`_coefficient_block`) with
+    one unimodular root per column;
     ``degrees`` holds the degree of f, or of each column, and ``alphas``
     the matching values.  Row k of the returned quotient holds g_k, one
     per root; rows past a column's own degree are zero, and a constant f

@@ -18,7 +18,6 @@ import numpy as np
 from .dirichlet import (
     _binomial_row,
     _exact_values,
-    _series_sums,
     dirichlet_atomic_order_zero,
 )
 from .functions import AnalyticFunction, multiply
@@ -85,17 +84,20 @@ def tuple_norm_sq(f: AnalyticFunction, measures: MeasureTuple) -> float:
 def _tuple_norms(functions, measures: MeasureTuple) -> list[float]:
     """Squared tuple norms of exact polynomials, side by side.
 
-    One coefficient series gives every Hardy part, and one exact-route
-    batch per tuple entry every order-j integral; each norm adds them in
-    entry order, as :func:`tuple_norm_sq` of that function alone does.
+    One exact-route batch gives every Hardy part, the order-0 integral
+    against arc length, and every order-j integral against the j-th
+    entry; each norm adds them in entry order, as :func:`tuple_norm_sq`
+    of that function alone does.
     """
     if not all(f.exact for f in functions):
         raise ValueError("tuple norms are defined for exact polynomials only")
-    totals = _series_sums(functions, 0)
-    for j, measure in enumerate(measures.entries, start=1):
-        if measure.total_mass == 0:
-            continue
-        values = _exact_values([(f, measure) for f in functions], j)
+    entries = (CircleMeasure.arc_length(), *measures.entries)
+    values = iter(_exact_values(
+        [(f, measure, j) for j, measure in enumerate(entries) for f in functions]
+    ))
+    totals = [next(values)[0] for _ in functions]
+    for _ in measures.entries:
+        # zip reads totals first, so it takes one value per function
         totals = [total + value for total, (value, _) in zip(totals, values)]
     return totals
 

@@ -36,14 +36,7 @@ from .dirichlet import (
     multiplier_norm_upper,
     szego_kernel_energy,
 )
-from .functions import (
-    AnalyticFunction,
-    dilate,
-    divide_by_root,
-    evaluate,
-    multiply,
-    times_linear,
-)
+from .functions import AnalyticFunction, dilate, evaluate, multiply, times_linear
 from .measures import Atom, CircleMeasure, MeasureTuple
 from .operators import defect_kernel_check, defect_sequence
 from .quadrature import QuadratureSpec
@@ -174,8 +167,8 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
     spec reaches the body as it is, and each integral then picks its own
     grid through :meth:`QuadratureSpec.choose`: the smallest exact one
     for a polynomial and the default for a truncation.  Before the first
-    trial it raises ``ValueError`` for a negative trial count, for orders
-    or a spec the suite does not read (it reads orders when it has default
+    trial it raises ``ValueError`` for a negative trial count, a NaN
+    tolerance, for orders or a spec the suite does not read (it reads orders when it has default
     orders, and a spec when the body takes ``spec``), and for an order
     below ``lowest_order`` or above ``highest_order``.  That is the highest
     order at which the suite's functions can have a nonzero derivative, so
@@ -212,6 +205,8 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
                 )
             if spec is not None and not quadrature:
                 raise ValueError(f"{name}: this suite takes no quadrature spec")
+            if tolerance is not None and math.isnan(tolerance):
+                raise ValueError(f"{name}: the tolerance must not be NaN")
             start = time.perf_counter()
             chosen = tolerance is not None
             recorder = _Recorder(tolerance if chosen else default_tolerance, chosen)
@@ -294,22 +289,6 @@ def _batches(draws):
         yield batch
 
 
-def _exact_integrals(jobs) -> list[list[float]]:
-    """Values of each trial's (f, measure) pairs, one exact-route call
-    per order.
-
-    ``jobs`` holds the (order, pairs) of each trial; the result holds
-    each trial's values in the order of its pairs.
-    """
-    values = [[] for _ in jobs]
-    for n in dict.fromkeys(n for n, _ in jobs):
-        mine = [t for t, (m, _) in enumerate(jobs) if m == n]
-        results = iter(_exact_values([p for t in mine for p in jobs[t][1]], n))
-        for t in mine:
-            values[t] = [next(results)[0] for _ in jobs[t][1]]
-    return values
-
-
 @_suite(trials=50, tolerance=1e-12, orders=[1, 2, 3, 4], highest_order=_MONOMIAL_DEGREE)
 def run_monomial(rec: _Recorder, draws, orders) -> None:
     """Local integral of z^k at any atom equals binom(k, n).
@@ -318,19 +297,22 @@ def run_monomial(rec: _Recorder, draws, orders) -> None:
     form); the computed side goes through boundary division plus the
     order-(n-1) coefficient series, and must also coincide with the plain
     arc-length series for z^k.  One batch of local integrals per order
-    and monomial holds every trial's point, so trial c reads column c.
+    holds every (monomial, trial point) column.
     """
     trials = [(i, _random_angle(rng)) for i, rng in draws]
     points = [Atom(angle, 1.0).point for _, angle in trials]
     degrees = range(_MONOMIAL_DEGREE + 1)
+    monomials = [AnalyticFunction.monomial(k) for k in degrees]
+    columns = [zk for zk in monomials for _ in points]
     # local[a, k, c] is the order-orders[a] local integral of z^k at trial
     # c's point; one float array holds them in a sliver of a dict's memory
     local = np.empty((len(orders), len(degrees), len(trials)))
     sigma = {}
     for a, n in enumerate(orders):
-        for k in degrees:
-            zk = AnalyticFunction.monomial(k)
-            local[a, k] = _local_integrals([zk] * len(points), points, n)
+        local[a] = np.reshape(
+            _local_integrals(columns, points * len(monomials), n), local[a].shape
+        )
+        for k, zk in enumerate(monomials):
             sigma[n, k] = dirichlet_sigma(zk, n).value
     for c, (i, angle) in enumerate(trials):
         values = local[:, :, c].tolist()
@@ -456,7 +438,7 @@ def run_dilation(rec: _Recorder, draws, orders) -> None:
 
     Also sweeps the closed-form factor over a 1000-point radius grid for
     orders up to 6 to confirm it never exceeds 1.  The energies of each
-    batch of trials come from one exact-route call per order.
+    batch of trials come from one exact-route call.
     """
     radii = [0.1 * k for k in range(1, 10)]
     for batch in _batches(draws):
@@ -466,11 +448,12 @@ def run_dilation(rec: _Recorder, draws, orders) -> None:
             f = _random_polynomial(rng)
             r = radii[int(rng.integers(0, len(radii)))]
             trials.append((i, n, f, r, _random_measure(rng)))
-        values = _exact_integrals([
-            (n, [(dilate(f, r), measure), (f, measure)])
-            for _, n, f, r, measure in trials
-        ])
-        for (i, n, f, r, _), (lhs, energy) in zip(trials, values):
+        values = iter(_exact_values([
+            triple for _, n, f, r, measure in trials
+            for triple in ((dilate(f, r), measure, n), (f, measure, n))
+        ]))
+        for i, n, f, r, _ in trials:
+            (lhs, _), (energy, _) = next(values), next(values)
             bound = dilation_factor(r, n) * energy
             record = {"trial": i, "n": n, "r": r, "degree": f.degree}
             rec.upper_bound(record, lhs, bound)
@@ -526,10 +509,9 @@ def run_multiplier(rec: _Recorder, draws, orders) -> None:
     inequalities falsely falsifiable; both are therefore tested with the
     certified upper bound taken at doubled section degree.  The
     inequalities presuppose a non-degenerate local integral of f, so f is
-    drawn with degree at least n.  The sum over k is the full norm of one
-    quotient g_f, so it is read off the coefficient series of g_f.  D_n(phi f)
-    and D_n(phi) of each batch of trials come from one exact-route call
-    per order.
+    drawn with degree at least n.  The sum over k is D_1(f) + ... + D_n(f),
+    n local integrals of f at lam; they, D_n(phi f) and D_n(phi) of each
+    batch of trials come from one exact-route call.
     """
     for batch in _batches(draws):
         trials = []
@@ -539,19 +521,19 @@ def run_multiplier(rec: _Recorder, draws, orders) -> None:
             f = _random_polynomial(rng, min_degree=n)
             angle = _random_angle(rng)
             trials.append((i, n, phi, f, angle, CircleMeasure.point_mass(angle)))
-        values = _exact_integrals([
-            (n, [(multiply(phi, f, max_degree=phi.degree + f.degree), measure),
-                 (phi, measure)])
-            for _, n, phi, f, _, measure in trials
-        ])
-        for (i, n, phi, f, angle, _), (d_pf, d_p) in zip(trials, values):
-            lam = np.exp(1j * angle)
+        triples = []
+        for _, n, phi, f, _, measure in trials:
+            triples.append((multiply(phi, f, max_degree=phi.degree + f.degree),
+                            measure, n))
+            triples.append((phi, measure, n))
+            triples += [(f, measure, k) for k in range(1, n + 1)]
+        values = iter(value for value, _ in _exact_values(triples))
+        for i, n, phi, f, angle, _ in trials:
+            d_pf, d_p = next(values), next(values)
+            d_f = sum(next(values) for _ in range(n))
             section = (n - 1) + phi.degree + 16
             upper = multiplier_norm_upper(phi, n - 1, 2 * section)
-            f_lam = evaluate(f, lam)
-            g = divide_by_root(f, lam, f_lam)
-            d_f = sum(dirichlet_sigma(g, k).value for k in range(n))
-            fstar = abs(f_lam) ** 2
+            fstar = abs(evaluate(f, np.exp(1j * angle))) ** 2
             record = {"trial": i, "n": n, "deg_phi": phi.degree,
                       "deg_f": f.degree, "atom_angle": angle}
             rec.upper_bound(

@@ -221,6 +221,7 @@ def test_order_zero_rejected_with_exit_two(square_file, atom_file):
         ["verify", "all", "--n", "2"],
         ["verify", "douglas", "--n", "0"],
         ["verify", "douglas", "--trials", "-3"],
+        ["verify", "douglas", "--tol", "nan"],
     ],
 )
 def test_verify_rejects_ignored_or_invalid_arguments(argv, capsys):

@@ -40,7 +40,7 @@ from dirikit.dirichlet import (
     _local_integrals,
     _multiplication_section,
 )
-from dirikit.functions import InexactDivisionError, times_linear
+from dirikit.functions import InexactDivisionError, divide_by_root, times_linear
 
 
 def mono(k):
@@ -385,8 +385,10 @@ def test_atomic_decompose_low_degree_gives_zero_quotient():
 
 
 def test_atomic_decompose_rejects_duplicates():
-    with pytest.raises(ValueError):
-        atomic_decompose(mono(2), [0.0, 0.0])
+    # angles that CircleMeasure holds for one point name one point here too
+    for angles in [[0.0, 0.0], [1.0, 1.0 + 2.0 * math.pi], [0.0, 1e-13]]:
+        with pytest.raises(ValueError, match="pairwise distinct"):
+            atomic_decompose(mono(2), angles)
 
 
 # -------------------------------------------------- multiplier seminorms
@@ -782,18 +784,24 @@ def test_parts_are_the_one_part_integrals_and_weigh_to_the_value(monkeypatch):
             for atom, column in zip(atoms, columns, strict=True):
                 alone = dirichlet_weighted(f, CircleMeasure.point_mass(atom.angle), order)
                 assert [column.hex()] == [p.hex() for p in alone.parts], case
-    # the pairs of one order in one batch, each twice: each is its own integral
+    # the cases of every order in one batch, each twice, with a Hardy norm:
+    # each is its own integral
+    cases = exact_cases * 2
+    hardy = (cases[0][0], CircleMeasure.arc_length(), 0)
+    batch = _exact_values([case[:3] for case in cases] + [hardy])
+    for (value, parts), (*_, result) in zip(batch, cases):
+        assert [p.hex() for p in parts] == [p.hex() for p in result.parts]
+        assert value.hex() == result.value.hex()
+    norm = dirichlet_sigma(hardy[0], 0).value
+    assert [p.hex() for p in batch[-1][1]] == [norm.hex()]
+    assert batch[-1][0].hex() == norm.hex()
+    assert sorted({order for _, _, order, _ in cases}) == [1, 2, 3, 4]
     for order in range(1, 5):
-        cases = [case for case in exact_cases if case[2] == order] * 2
-        batch = _exact_values([(f, measure) for f, measure, _, _ in cases], order)
-        for (value, parts), (*_, result) in zip(batch, cases, strict=True):
-            assert [p.hex() for p in parts] == [p.hex() for p in result.parts]
-            assert value.hex() == result.value.hex()
-        # one function, with arc length, in every pair
-        f, measure, _, _ = cases[0]
+        # one function, with arc length, in every triple
+        f, measure, _, _ = next(case for case in cases if case[2] == order)
         measure = CircleMeasure(measure.atoms, 0.7)
         result = dirichlet_weighted(f, measure, order)
-        alike = _exact_values([(f, measure)] * 3, order)
+        alike = _exact_values([(f, measure, order)] * 3)
         assert alike == [(result.value, result.parts)] * 3
     # columns of mixed degree: constants, degrees below the order, degrees
     # up to 16, and repeated points; each is its own one-point integral
@@ -811,7 +819,7 @@ def test_parts_are_the_one_part_integrals_and_weigh_to_the_value(monkeypatch):
             alone = dirichlet_weighted(f, CircleMeasure.point_mass(atom.angle), order)
             assert [column.hex()] == [p.hex() for p in alone.parts], (order, f.degree)
     assert _local_integrals([], [], 1) == []
-    assert _exact_values([], 1) == []
+    assert _exact_values([]) == []
     # a failing column fails a block whose other columns are fine, by name
     fine = AnalyticFunction((1e4, 1e4, -1e4))
     small = AnalyticFunction((0.5, 1.0, 0.25j))
@@ -832,6 +840,29 @@ def test_parts_are_the_one_part_integrals_and_weigh_to_the_value(monkeypatch):
     huge = AnalyticFunction((1.7e308, 1.7e308))
     with pytest.raises(OverflowError, match=r"lam=0\.070737\+0\.997495j exceeds"):
         _local_integrals([fine, huge, small], points, 2)
+
+
+def test_quotient_full_norm_is_the_sum_of_local_integrals():
+    # sum_{k<n} D_k(g) of g = (f - f(lam)) / (z - lam) is
+    # D_{lam,1}(f) + ... + D_{lam,n}(f), bit for bit, alone or in a batch
+    rng = np.random.default_rng(29)
+    cases = []
+    for _ in range(40):
+        degree = int(rng.integers(0, 13))
+        f = AnalyticFunction(
+            rng.standard_normal(degree + 1) + 1j * rng.standard_normal(degree + 1)
+        )
+        measure = CircleMeasure.point_mass(float(rng.uniform(0.0, 2.0 * math.pi)))
+        lam = measure.atoms[0].point
+        n = int(rng.integers(1, 5))
+        g = divide_by_root(f, lam, evaluate(f, lam))
+        cases.append((f, measure, n, sum(dirichlet_sigma(g, k).value for k in range(n))))
+    triples = [[(f, measure, k) for k in range(1, n + 1)] for f, measure, n, _ in cases]
+    batch = iter(_exact_values([t for mine in triples for t in mine]))
+    for case, (mine, (*_, quotient)) in enumerate(zip(triples, cases)):
+        mixed = [next(batch) for _ in mine]
+        for values in (_exact_values(mine), mixed):
+            assert sum(value for value, _ in values).hex() == quotient.hex(), case
 
 
 def test_an_overflowing_square_names_its_coefficient_and_order():

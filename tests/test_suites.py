@@ -94,6 +94,7 @@ def test_dilation_factor_sweep_stays_out_of_max_residual():
         (run_shiftineq, {"orders": [13]}),
         (run_monomial, {"orders": [16]}),
         (run_szego, {"orders": [61]}),
+        (run_douglas, {"tolerance": math.nan}),
     ],
 )
 def test_driver_rejects_before_the_first_trial(runner, kwargs, monkeypatch):
