@@ -147,13 +147,11 @@ def _coefficient_block(functions):
     """
     if len(functions) == 1:
         return functions[0].coeffs, functions[0].degree
-    vectors = [f.coeffs for f in functions]
-    degrees = np.array([len(a) for a in vectors]) - 1
-    # filled one function per row, which is faster, then transposed
-    block = np.zeros((len(vectors), degrees.max() + 1), dtype=complex)
-    for row, a in zip(block, vectors):
-        row[: len(a)] = a
-    return np.ascontiguousarray(block.T), degrees
+    lengths = [len(f.coeffs) for f in functions]
+    block = np.zeros((max(lengths), len(functions)), dtype=complex)
+    for j, f in enumerate(functions):
+        block[: lengths[j], j] = f.coeffs
+    return block, np.array(lengths) - 1
 
 
 def _values_on_circle(coeffs, lams):

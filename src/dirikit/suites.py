@@ -167,10 +167,11 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
     spec reaches the body as it is, and each integral then picks its own
     grid through :meth:`QuadratureSpec.choose`: the smallest exact one
     for a polynomial and the default for a truncation.  Before the first
-    trial it raises ``ValueError`` for a negative trial count, a NaN
-    tolerance, for orders or a spec the suite does not read (it reads orders when it has default
-    orders, and a spec when the body takes ``spec``), and for an order
-    below ``lowest_order`` or above ``highest_order``.  That is the highest
+    trial it raises ``ValueError`` for a negative trial count, for a NaN
+    tolerance, which no residual exceeds, for orders or a spec the suite
+    does not read (it reads orders when it has default orders, and a spec
+    when the body takes ``spec``), and for an order below
+    ``lowest_order`` or above ``highest_order``.  That is the highest
     order at which the suite's functions can have a nonzero derivative, so
     a check above it holds trivially; ``None`` means no order is trivial.
     The body receives a :class:`_Recorder`, the (index, generator) pair of
