@@ -373,16 +373,50 @@ def local_bergman_kernel(
 
 
 def _exact_power_series(coeffs: list[int], x: complex) -> complex:
-    # Horner's rule on x = (p + iq) / d, scaled by d^(K-1) into integers
+    """The sum of ``coeffs[k] * x**k`` over K >= 1 terms, rounded once.
+
+    With x = u / d, u = p + iq a Gaussian integer and d = 2^e, the sum
+    times d^(K-1) is the Gaussian integer N = sum_k c_k u^k d^(K-1-k).
+    N is built by binary splitting: runs of terms are summed by Horner's
+    rule, and two adjacent runs, the left one of length L and the right
+    one of length R, combine as N_left d^R + u^L N_right, a shift and one
+    Gaussian product.  Every left run has the same length at a level, so
+    u^L comes from squaring u^L of the level below.
+    """
     (p, a), (q, b) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
     d = max(a, b)  # both are powers of two
+    e = d.bit_length() - 1
     p, q = p * (d // a), q * (d // b)
-    re = im = 0
-    scale = 1
-    for c in reversed(coeffs):
-        re, im = re * p - im * q + c * scale, re * q + im * p
-        scale *= d
-    scale //= d
+    leaf = 8
+    runs = []  # (re N, im N, length) of each run, left to right
+    for start in range(0, len(coeffs), leaf):
+        run = coeffs[start:start + leaf]
+        re = im = 0
+        scale = 1
+        for c in reversed(run):
+            re, im = re * p - im * q + c * scale, re * q + im * p
+            scale <<= e
+        runs.append((re, im, len(run)))
+    # u^leaf, the power that moves a full left run past its right neighbour
+    pr, pi = 1, 0
+    for _ in range(leaf):
+        pr, pi = pr * p - pi * q, pr * q + pi * p
+    while len(runs) > 1:
+        merged = []
+        for (r1, i1, n1), (r2, i2, n2) in zip(runs[::2], runs[1::2]):
+            # u^L N_right in three products: (a + ib)(c + id) has real
+            # part ac - bd and imaginary part (a + b)(c + d) - ac - bd
+            ac, bd = pr * r2, pi * i2
+            merged.append((
+                (r1 << e * n2) + ac - bd,
+                (i1 << e * n2) + (pr + pi) * (r2 + i2) - ac - bd,
+                n1 + n2,
+            ))
+        runs = merged + runs[len(merged) * 2:]
+        if len(runs) > 1:
+            pr, pi = (pr + pi) * (pr - pi), 2 * pr * pi
+    ((re, im, _),) = runs
+    scale = 1 << e * (len(coeffs) - 1)
     # int / int is correctly rounded
     return complex(re / scale, im / scale)
 
@@ -400,7 +434,10 @@ def local_bergman_kernel_series(
     every digit: at n = 90 and x = 0.294 e^(-2.51i) the terms reach 4e12
     and the sum is 1.2e-9.  The sum is therefore taken exactly, in
     Gaussian integers over the dyadic denominator of x, and rounded once.
+    ``terms`` must be at least 1.
     """
+    if terms < 1:
+        raise ValueError(f"the kernel series needs at least one term, got {terms}")
     z, w, lam = complex(z), complex(w), complex(boundary_point)
     coeffs = [math.comb(order + k + 1, k) for k in range(terms)]
     series = _exact_power_series(coeffs, z * w.conjugate())

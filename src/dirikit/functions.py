@@ -157,9 +157,9 @@ def _coefficient_block(functions):
 def _values_on_circle(coeffs, lams):
     """Values of polynomials at unimodular points.
 
-    ``coeffs`` is one coefficient vector and ``lams`` one point, or
-    ``coeffs`` is a block (:func:`_coefficient_block`) and column j is
-    evaluated at ``lams[j]``.  It runs under the caller's
+    ``coeffs`` is one coefficient vector, evaluated at ``lams``, one
+    point or an array of them, or ``coeffs`` is a block
+    (:func:`_coefficient_block`) and column j is evaluated at ``lams[j]``.  It runs under the caller's
     ``np.errstate(over="ignore", invalid="ignore")``; a value beyond the
     float range raises ``OverflowError`` naming its point.
     """

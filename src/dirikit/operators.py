@@ -27,8 +27,8 @@ logger = logging.getLogger(__name__)
 
 #: Below this, a defect or an order-zero integral counts as vanishing.
 VANISHING_TOLERANCE = 1e-9
-#: Shifts z^k f whose norms one exact-route batch computes; a bound keeps
-#: a batch's coefficient block small at high orders.
+#: (Shift z^k f, tuple) pairs whose norms one exact-route batch computes;
+#: a bound keeps a batch's coefficient block small at high orders.
 _SHIFT_BATCH = 16
 
 
@@ -77,28 +77,34 @@ class DefectKernelCheck:
 
 def tuple_norm_sq(f: AnalyticFunction, measures: MeasureTuple) -> float:
     """Squared tuple norm: Hardy part plus the order-j weighted integrals."""
-    (total,) = _tuple_norms([f], measures)
+    (total,) = _tuple_norms([(f, measures)])
     return total
 
 
-def _tuple_norms(functions, measures: MeasureTuple) -> list[float]:
-    """Squared tuple norms of exact polynomials, side by side.
+def _tuple_norms(pairs) -> list[float]:
+    """Squared tuple norms of (exact polynomial, measure tuple) pairs.
 
-    One exact-route batch gives every Hardy part, the order-0 integral
-    against arc length, and every order-j integral against the j-th
-    entry; each norm adds them in entry order, as :func:`tuple_norm_sq`
-    of that function alone does.
+    Each run of up to ``_SHIFT_BATCH`` pairs is one exact-route batch: it
+    gives every Hardy part, the order-0 integral against arc length, and
+    every order-j integral against the j-th entry of the pair's own
+    tuple.  Each norm adds them in entry order, as :func:`tuple_norm_sq`
+    of that pair alone does.
     """
-    if not all(f.exact for f in functions):
+    if not all(f.exact for f, _ in pairs):
         raise ValueError("tuple norms are defined for exact polynomials only")
-    entries = (CircleMeasure.arc_length(), *measures.entries)
-    values = iter(_exact_values(
-        [(f, measure, j) for j, measure in enumerate(entries) for f in functions]
-    ))
-    totals = [next(values)[0] for _ in functions]
-    for _ in measures.entries:
-        # zip reads totals first, so it takes one value per function
-        totals = [total + value for total, (value, _) in zip(totals, values)]
+    arc = CircleMeasure.arc_length()
+    totals = []
+    for start in range(0, len(pairs), _SHIFT_BATCH):
+        chunk = pairs[start:start + _SHIFT_BATCH]
+        values = iter(_exact_values([
+            (f, measure, j) for f, measures in chunk
+            for j, measure in enumerate((arc, *measures.entries))
+        ]))
+        for _, measures in chunk:
+            total = next(values)[0]
+            for _ in measures.entries:
+                total += next(values)[0]
+            totals.append(total)
     return totals
 
 
@@ -163,19 +169,33 @@ def defect_sequence(
     For a length-m tuple of atomic or arc-length measures, beta_k is a
     polynomial of degree at most m in k, so the (m+1)-th differences
     vanish; the gap from zero measures how exactly the shift realizes the
-    (m+1)-isometry identity.  The norms of up to ``_SHIFT_BATCH`` shifts
-    come from one exact-route batch per tuple entry.
+    (m+1)-isometry identity.  This is the one-item case of
+    :func:`_defect_sequences`.
     """
-    if max_order < 1:
+    (report,) = _defect_sequences([(f, measures, max_order)])
+    return report
+
+
+def _defect_sequences(items) -> list[DefectReport]:
+    """:func:`defect_sequence` of each (f, measures, max_order) item.
+
+    The norms of every shift z^k f of every item come from one
+    :func:`_tuple_norms` call, so the items may hold different tuples.
+    """
+    if any(max_order < 1 for _, _, max_order in items):
         raise ValueError("max_order must be positive")
-    beta = []
-    for start in range(0, max_order + 1, _SHIFT_BATCH):
-        top = min(start + _SHIFT_BATCH, max_order + 1)
-        beta += _tuple_norms([_shift(f, k) for k in range(start, top)], measures)
-    differences = {
-        p: forward_differences(beta, p) for p in range(1, max_order + 1)
-    }
-    return DefectReport(beta, differences)
+    norms = iter(_tuple_norms([
+        (_shift(f, k), measures)
+        for f, measures, max_order in items for k in range(max_order + 1)
+    ]))
+    reports = []
+    for _, _, max_order in items:
+        beta = [next(norms) for _ in range(max_order + 1)]
+        differences = {
+            p: forward_differences(beta, p) for p in range(1, max_order + 1)
+        }
+        reports.append(DefectReport(beta, differences))
+    return reports
 
 
 def defect_kernel_check(
@@ -188,20 +208,34 @@ def defect_kernel_check(
     For the tuple (base, atomic) the second difference of ||z^k f||^2 at
     k = 0 vanishes exactly when every boundary value of f at the atoms
     does, i.e. when the order-zero integral against the atomic part is
-    zero.  The check asserts only that iff-zero equivalence.
+    zero.  The check asserts only that iff-zero equivalence.  This is the
+    one-item case of :func:`_defect_kernel_checks`.
     """
-    if not atomic_measure.is_atomic:
+    (check,) = _defect_kernel_checks([(f, base_measure, atomic_measure)])
+    return check
+
+
+def _defect_kernel_checks(items) -> list[DefectKernelCheck]:
+    """:func:`defect_kernel_check` of each (f, base, atomic) item, with
+    the defects of all items from one :func:`_defect_sequences` call."""
+    if not all(atomic.is_atomic for _, _, atomic in items):
         raise ValueError("second tuple entry must be purely atomic")
-    report = defect_sequence(f, MeasureTuple((base_measure, atomic_measure)), 2)
-    defect2 = report.differences[2][0]
-    order_zero = dirichlet_atomic_order_zero(f, atomic_measure).value
-    consistent = (defect2 <= VANISHING_TOLERANCE) == (
-        order_zero <= VANISHING_TOLERANCE
-    )
-    if consistent and abs(defect2 - order_zero) <= VANISHING_TOLERANCE:
-        # numeric equality of the two quantities is an observation, not an
-        # identity this package asserts
-        logger.debug(
-            "defect2 and order-zero integral agree numerically: %.3e", defect2
+    reports = _defect_sequences([
+        (f, MeasureTuple((base, atomic)), 2) for f, base, atomic in items
+    ])
+    checks = []
+    for (f, _, atomic), report in zip(items, reports):
+        defect2 = report.differences[2][0]
+        order_zero = dirichlet_atomic_order_zero(f, atomic).value
+        consistent = (defect2 <= VANISHING_TOLERANCE) == (
+            order_zero <= VANISHING_TOLERANCE
         )
-    return DefectKernelCheck(defect2, order_zero, consistent)
+        if consistent and abs(defect2 - order_zero) <= VANISHING_TOLERANCE:
+            # numeric equality of the two quantities is an observation, not
+            # an identity this package asserts
+            logger.debug(
+                "defect2 and order-zero integral agree numerically: %.3e",
+                defect2,
+            )
+        checks.append(DefectKernelCheck(defect2, order_zero, consistent))
+    return checks

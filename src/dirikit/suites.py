@@ -36,9 +36,16 @@ from .dirichlet import (
     multiplier_norm_upper,
     szego_kernel_energy,
 )
-from .functions import AnalyticFunction, dilate, evaluate, multiply, times_linear
+from .functions import (
+    AnalyticFunction,
+    _coefficient_block,
+    _values_on_circle,
+    dilate,
+    multiply,
+    times_linear,
+)
 from .measures import Atom, CircleMeasure, MeasureTuple
-from .operators import defect_kernel_check, defect_sequence
+from .operators import _defect_kernel_checks, _defect_sequences
 from .quadrature import QuadratureSpec
 
 #: Highest degree of the random polynomials, of the monomials checked by
@@ -471,21 +478,28 @@ def run_shiftineq(rec: _Recorder, draws, orders) -> None:
     """Seminorm comparison of (z - lam) f against (z - r lam) f.
 
     Needs the shift to be expansive, which holds on the subspace with
-    vanishing coefficients below the seminorm order.
+    vanishing coefficients below the seminorm order.  Both seminorms of
+    each batch of trials come from one exact-route call.
     """
     radii = [0.0] + [0.1 * k for k in range(1, 10)]
-    for i, rng in draws:
-        j = orders[i % len(orders)]
-        f = _random_polynomial(rng, zero_below=j)
-        lam = np.exp(1j * _random_angle(rng))
-        r = radii[int(rng.integers(0, len(radii)))]
-        lhs = math.sqrt(dirichlet_sigma(times_linear(f, lam), j).value)
-        rhs = (
-            2.0 / (1.0 + r)
-            * math.sqrt(dirichlet_sigma(times_linear(f, r * lam), j).value)
-        )
-        record = {"trial": i, "j": j, "r": r, "degree": f.degree}
-        rec.upper_bound(record, lhs, rhs)
+    arc = CircleMeasure.arc_length()
+    for batch in _batches(draws):
+        trials = []
+        for i, rng in batch:
+            j = orders[i % len(orders)]
+            f = _random_polynomial(rng, zero_below=j)
+            lam = np.exp(1j * _random_angle(rng))
+            r = radii[int(rng.integers(0, len(radii)))]
+            trials.append((i, j, r, f, lam))
+        values = iter(value for value, _ in _exact_values([
+            (g, arc, j) for _, j, r, f, lam in trials
+            for g in (times_linear(f, lam), times_linear(f, r * lam))
+        ]))
+        for i, j, r, f, _ in trials:
+            lhs = math.sqrt(next(values))
+            rhs = 2.0 / (1.0 + r) * math.sqrt(next(values))
+            record = {"trial": i, "j": j, "r": r, "degree": f.degree}
+            rec.upper_bound(record, lhs, rhs)
 
 
 @_suite(trials=200, tolerance=1e-9, orders=[1, 2, 3, 4], highest_order=_DRAW_DEGREE)
@@ -512,7 +526,8 @@ def run_multiplier(rec: _Recorder, draws, orders) -> None:
     inequalities presuppose a non-degenerate local integral of f, so f is
     drawn with degree at least n.  The sum over k is D_1(f) + ... + D_n(f),
     n local integrals of f at lam; they, D_n(phi f) and D_n(phi) of each
-    batch of trials come from one exact-route call.
+    batch of trials come from one exact-route call, and the values f(lam)
+    of the batch from one evaluation of its coefficient block.
     """
     for batch in _batches(draws):
         trials = []
@@ -529,12 +544,17 @@ def run_multiplier(rec: _Recorder, draws, orders) -> None:
             triples.append((phi, measure, n))
             triples += [(f, measure, k) for k in range(1, n + 1)]
         values = iter(value for value, _ in _exact_values(triples))
-        for i, n, phi, f, angle, _ in trials:
+        coeffs, _ = _coefficient_block([f for _, _, _, f, _, _ in trials])
+        with np.errstate(over="ignore", invalid="ignore"):
+            f_lams = _values_on_circle(
+                coeffs, [np.exp(1j * angle) for _, _, _, _, angle, _ in trials]
+            ).tolist()
+        for (i, n, phi, f, angle, _), f_lam in zip(trials, f_lams):
             d_pf, d_p = next(values), next(values)
             d_f = sum(next(values) for _ in range(n))
             section = (n - 1) + phi.degree + 16
             upper = multiplier_norm_upper(phi, n - 1, 2 * section)
-            fstar = abs(evaluate(f, np.exp(1j * angle))) ** 2
+            fstar = abs(f_lam) ** 2
             record = {"trial": i, "n": n, "deg_phi": phi.degree,
                       "deg_f": f.degree, "atom_angle": angle}
             rec.upper_bound(
@@ -625,26 +645,34 @@ def run_isometry(rec: _Recorder, draws) -> None:
     polynomials of the shift power, so the (m+1)-th forward difference
     must vanish; for length-2 tuples with an atomic second entry the
     second difference must additionally be non-negative, checked at 1e-9.
+    The defect sequences of each batch of trials come from one batched
+    call.
     """
-    for i, rng in draws:
-        m = int(rng.integers(1, 4))
-        entries = []
-        for _ in range(m):
-            kind = int(rng.integers(0, 4))
-            if kind == 0:
-                entries.append(CircleMeasure.zero())
-            else:
-                entries.append(_random_measure(rng))
-        measures = MeasureTuple(tuple(entries))
-        f = _random_polynomial(rng, max_degree=8)
-        report = defect_sequence(f, measures, m + 1)
-        record = {"trial": i, "m": m, "degree": f.degree}
-        rec.equality(record, report.differences[m + 1][0], 0.0)
-        base = _random_measure(rng)
-        atomic = _random_atomic_measure(rng)
-        pair = MeasureTuple((base, atomic))
-        defect = defect_sequence(f, pair, 2).differences[2][0]
-        rec.upper_bound({**record, "check": "positivity"}, -defect, 0.0, 1e-9)
+    for batch in _batches(draws):
+        trials = []
+        for i, rng in batch:
+            m = int(rng.integers(1, 4))
+            entries = []
+            for _ in range(m):
+                kind = int(rng.integers(0, 4))
+                if kind == 0:
+                    entries.append(CircleMeasure.zero())
+                else:
+                    entries.append(_random_measure(rng))
+            measures = MeasureTuple(tuple(entries))
+            f = _random_polynomial(rng, max_degree=8)
+            pair = MeasureTuple((_random_measure(rng), _random_atomic_measure(rng)))
+            trials.append((i, m, f, measures, pair))
+        reports = iter(_defect_sequences([
+            item for _, m, f, measures, pair in trials
+            for item in ((f, measures, m + 1), (f, pair, 2))
+        ]))
+        for i, m, f, _, _ in trials:
+            report, paired = next(reports), next(reports)
+            record = {"trial": i, "m": m, "degree": f.degree}
+            rec.equality(record, report.differences[m + 1][0], 0.0)
+            defect = paired.differences[2][0]
+            rec.upper_bound({**record, "check": "positivity"}, -defect, 0.0, 1e-9)
 
 
 @_suite(trials=100, tolerance=1e-9)
@@ -653,26 +681,36 @@ def run_vsubspace(rec: _Recorder, draws) -> None:
 
     Even trials force the root case by multiplying through the atom
     factors; odd trials use generic polynomials, which almost surely do
-    not vanish at the atoms.
+    not vanish at the atoms.  The checks of each batch of trials come
+    from one batched call.
     """
-    for i, rng in draws:
-        atomic = _random_atomic_measure(rng)
-        base = _random_measure(rng) if rng.uniform() < 0.5 else CircleMeasure.zero()
-        f = _random_polynomial(rng, max_degree=6)
-        rooted = i % 2 == 0
-        if rooted:
-            for atom in atomic.atoms:
-                f = times_linear(f, atom.point)
-        check = defect_kernel_check(f, base, atomic)
-        record = {"trial": i, "rooted": rooted,
-                  "atoms": len(atomic.atoms), "degree": f.degree}
-        rec.require({**record, "check": "consistency"}, check.consistent,
-                    check.defect2, check.order_zero)
-        if rooted:
-            rec.equality({**record, "check": "rooted-defect"}, check.defect2, 0.0)
-            rec.equality(
-                {**record, "check": "rooted-boundary"}, check.order_zero, 0.0
-            )
+    for batch in _batches(draws):
+        trials = []
+        for i, rng in batch:
+            atomic = _random_atomic_measure(rng)
+            base = (_random_measure(rng) if rng.uniform() < 0.5
+                    else CircleMeasure.zero())
+            f = _random_polynomial(rng, max_degree=6)
+            rooted = i % 2 == 0
+            if rooted:
+                for atom in atomic.atoms:
+                    f = times_linear(f, atom.point)
+            trials.append((i, rooted, f, base, atomic))
+        checks = _defect_kernel_checks(
+            [(f, base, atomic) for _, _, f, base, atomic in trials]
+        )
+        for (i, rooted, f, _, atomic), check in zip(trials, checks):
+            record = {"trial": i, "rooted": rooted,
+                      "atoms": len(atomic.atoms), "degree": f.degree}
+            rec.require({**record, "check": "consistency"}, check.consistent,
+                        check.defect2, check.order_zero)
+            if rooted:
+                rec.equality(
+                    {**record, "check": "rooted-defect"}, check.defect2, 0.0
+                )
+                rec.equality(
+                    {**record, "check": "rooted-boundary"}, check.order_zero, 0.0
+                )
 
 
 def run_suite(

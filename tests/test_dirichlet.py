@@ -293,6 +293,21 @@ def test_local_bergman_kernel_series_survives_cancellation():
     assert abs(series - closed) <= 1e-12 * abs(closed)
 
 
+def _horner_power_series(coeffs, x):
+    # reference: Horner's rule on x = (p + iq) / d, scaled by d^(K-1) into
+    # Gaussian integers and rounded once
+    (p, a), (q, b) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
+    d = max(a, b)
+    p, q = p * (d // a), q * (d // b)
+    re = im = 0
+    scale = 1
+    for c in reversed(coeffs):
+        re, im = re * p - im * q + c * scale, re * q + im * p
+        scale *= d
+    scale //= d
+    return complex(re / scale, im / scale)
+
+
 def test_exact_power_series_rounds_once():
     assert _exact_power_series([1, 2, 3], 0.5 + 0.25j) == 2.5625 + 1.25j
     # oracle: the same polynomial in exact rationals, rounded once
@@ -300,6 +315,26 @@ def test_exact_power_series_rounds_once():
     re = 1 + 2 * p + 3 * (p * p - q * q)
     im = 2 * q + 6 * p * q
     assert _exact_power_series([1, 2, 3], 0.1 - 0.3j) == complex(float(re), float(im))
+    # binary splitting sums the same Gaussian integer as Horner's rule
+    xs = [0j, 0.37 + 0j, -0.29j, 0.21 - 0.33j, 0.4 + 1e-20j, 3e-25 - 0.3j,
+          0.294 * cmath.exp(-2.51j)]
+    for terms in (1, 2, 17, 200, 451):
+        for order in (1, 3, 90):
+            coeffs = [math.comb(order + k + 1, k) for k in range(terms)]
+            for x in xs:
+                series = _exact_power_series(coeffs, x)
+                horner = _horner_power_series(coeffs, x)
+                assert (series.real.hex(), series.imag.hex()) == (
+                    horner.real.hex(), horner.imag.hex()
+                )
+
+
+@pytest.mark.parametrize("terms", [0, -3])
+@pytest.mark.parametrize("z", [0.0, 0.3 - 0.2j])
+def test_kernel_series_needs_a_term(terms, z):
+    # no terms used to divide by zero, or to give 0 at z = 0
+    with pytest.raises(ValueError, match="at least one term"):
+        local_bergman_kernel_series(z, 0.4j, cmath.exp(0.5j), 2, terms)
 
 
 # ------------------------------------------------------------------ szego

@@ -7,8 +7,10 @@ by criterion 12 in ``test_acceptance.py``.  The ``douglas`` and ``tmap``
 cases run with ``--tol -1``, so every trial fails and the report lists
 each observed and expected value; they exit 1.  So do the ``szego`` and
 ``monomial`` cases, which pin every value those suites compute, and the
-``dilation``, ``multiplier``, ``isometry`` and ``vsubspace`` cases, which
-pin every value of their exact-route integrals.
+``dilation``, ``multiplier``, ``isometry``, ``vsubspace`` and
+``shiftineq`` cases, which pin every value of their exact-route
+integrals, and the ``kernel`` case, which pins the gap of every closed-form
+kernel value from its exact series and of every reproducing check.
 """
 
 from pathlib import Path
@@ -62,6 +64,12 @@ CASES = {
     "golden-verify-vsubspace.json": [
         "verify", "vsubspace", "--trials", "30", "--seed", "3", "--tol", "-1",
     ],
+    "golden-verify-shiftineq.json": [
+        "verify", "shiftineq", "--trials", "45", "--seed", "3", "--tol", "-1",
+    ],
+    "golden-verify-kernel.json": [
+        "verify", "kernel", "--trials", "5", "--seed", "3", "--tol", "-1",
+    ],
 }
 #: Cases whose reports list failures on purpose.
 EXIT = {
@@ -73,6 +81,8 @@ EXIT = {
     "golden-verify-multiplier.json": 1,
     "golden-verify-isometry.json": 1,
     "golden-verify-vsubspace.json": 1,
+    "golden-verify-shiftineq.json": 1,
+    "golden-verify-kernel.json": 1,
 }
 
 

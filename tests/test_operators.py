@@ -16,7 +16,12 @@ from dirikit import (
     gram_section,
     tuple_norm_sq,
 )
-from dirikit.operators import _atom_pair_matrix
+from dirikit.operators import (
+    _SHIFT_BATCH,
+    _atom_pair_matrix,
+    _defect_kernel_checks,
+    _defect_sequences,
+)
 
 
 def mono(k):
@@ -201,6 +206,58 @@ def test_second_defect_positive_for_pair_tuples():
         tail = CircleMeasure.point_mass(float(rng.uniform(0, 6)), 1.1)
         report = defect_sequence(f, MeasureTuple((base, tail)), 2)
         assert report.differences[2][0] >= -1e-9
+
+
+def _random_function(rng, max_degree):
+    degree = int(rng.integers(0, max_degree + 1))
+    return AnalyticFunction(
+        rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
+    )
+
+
+def _random_entry(rng):
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return CircleMeasure.zero()
+    if kind == 1:
+        return CircleMeasure.arc_length(float(rng.uniform(0.2, 2.0)))
+    atoms = tuple(
+        Atom(0.5 + 2.0 * a + float(rng.uniform(0, 1)), float(rng.uniform(0.2, 2)))
+        for a in range(int(rng.integers(1, 4)))
+    )
+    return CircleMeasure(atoms, 0.0 if kind == 2 else float(rng.uniform(0.2, 2)))
+
+
+def test_batched_defects_are_each_items_own():
+    # one batch of items with different tuples, zero entries among them,
+    # and max orders up to 39, whose shifts span several _SHIFT_BATCH runs
+    # of pairs, gives each item its defect_sequence and defect_kernel_check
+    # bit for bit
+    rng = np.random.default_rng(15)
+    items = []
+    for max_order in (1, 39, 2, 3, 17, 5, 1, 4, 2):
+        entries = [_random_entry(rng) for _ in range(int(rng.integers(1, 4)))]
+        entries[int(rng.integers(0, len(entries)))] = CircleMeasure.zero()
+        items.append((_random_function(rng, 8), MeasureTuple(tuple(entries)), max_order))
+    assert sum(top + 1 for _, _, top in items) > 4 * _SHIFT_BATCH
+    for report, item in zip(_defect_sequences(items), items, strict=True):
+        alone = defect_sequence(*item)
+        assert [b.hex() for b in report.beta] == [b.hex() for b in alone.beta]
+        assert {p: [v.hex() for v in seq] for p, seq in report.differences.items()} == {
+            p: [v.hex() for v in seq] for p, seq in alone.differences.items()
+        }
+    checks = []
+    for rooted in (True, False, True, False, False):
+        atomic = CircleMeasure(_random_entry(rng).atoms or (Atom(1.0, 1.0),))
+        f = _random_function(rng, 5)
+        for atom in atomic.atoms if rooted else ():
+            f = f * AnalyticFunction((-atom.point, 1.0))
+        checks.append((f, _random_entry(rng), atomic))
+    for check, item in zip(_defect_kernel_checks(checks), checks, strict=True):
+        alone = defect_kernel_check(*item)
+        assert check.defect2.hex() == alone.defect2.hex()
+        assert check.order_zero.hex() == alone.order_zero.hex()
+        assert check.consistent == alone.consistent
 
 
 def test_gram_quadratic_form_is_tuple_norm():

@@ -177,7 +177,9 @@ def test_quadrature_suites_leave_the_grid_to_each_integral(monkeypatch):
     assert seen[4:] == [spec, spec]
 
 
-@pytest.mark.parametrize("name", ["dilation", "multiplier"])
+@pytest.mark.parametrize(
+    "name", ["dilation", "multiplier", "isometry", "shiftineq", "vsubspace"]
+)
 def test_trial_batches_do_not_move_a_trial(name):
     # trial i is seeded by (seed, i) alone: a run of T trials lists the
     # failures of the first T trials of a longer run, wherever the batch
@@ -189,7 +191,9 @@ def test_trial_batches_do_not_move_a_trial(name):
         return [f.to_json() for f in report.failures if "trial" in f.record]
 
     longer = trial_failures(2 * batch + 7)
-    assert {f["record"]["trial"] for f in longer} == set(range(2 * batch + 7))
+    if name != "vsubspace":
+        # its odd trials, not rooted, record no failure at any tolerance
+        assert {f["record"]["trial"] for f in longer} == set(range(2 * batch + 7))
     for trials in (0, 1, batch + 1):
         head = [f for f in longer if f["record"]["trial"] < trials]
         assert trial_failures(trials) == head
