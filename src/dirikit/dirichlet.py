@@ -28,6 +28,7 @@ from .functions import (
     AnalyticFunction,
     _coefficient_block,
     _divide_by_roots,
+    _horner,
     _values_on_circle,
     boundary_value,
     derivative,
@@ -37,7 +38,7 @@ from .functions import (
 )
 from .measures import Atom, CircleMeasure
 from .measures import szego_potential as _szego_potential
-from .quadrature import QuadratureSpec, poisson_weighted_energy
+from .quadrature import QuadratureSpec, _poisson_energies
 
 
 @dataclass(frozen=True)
@@ -211,10 +212,9 @@ def dirichlet_weighted(
     all atoms of the measure, and the coefficient series for the
     arc-length part.  Truncations integrate their atoms
     numerically, and ``force_quadrature`` integrates every part
-    numerically; the numerical parts come from one
-    ``poisson_weighted_energy`` call, on the grid
-    :meth:`QuadratureSpec.choose` picks from ``spec``, the degree of f and
-    the order.
+    numerically; the numerical parts are the one-triple case of
+    :func:`_quadrature_values`, on the grid :meth:`QuadratureSpec.choose`
+    picks from ``spec``, the degree of f and the order.
     """
     if order < 1:
         raise ValueError(
@@ -226,24 +226,60 @@ def dirichlet_weighted(
         method = "decomposition" if measure.atoms else "series"
         return DirichletResult(value, method, 0.0, order, parts=parts,
                                measure=measure)
-    parts = []
-    estimates = []
-    if measure.lebesgue > 0 and not force_quadrature:
-        parts.append(dirichlet_sigma(f, order).value)
-        estimates.append(0.0)
-    # the parts left to quadrature share one sampling of f^(n)
+    # a truncation sums its arc-length part as a series, first
+    series = measure.lebesgue > 0 and not force_quadrature
+    head = (dirichlet_sigma(f, order).value,) if series else ()
     sampled = measure if force_quadrature else CircleMeasure(measure.atoms)
-    spec = QuadratureSpec.choose(spec, f.degree, order, f.exact)
-    df = derivative(f, order)
-    for value, est in poisson_weighted_energy(
-        lambda z: evaluate(df, z), order, spec, sampled
-    ):
-        parts.append(value)
-        estimates.append(est)
+    ((_, tail, estimates, spec),) = _quadrature_values([(f, sampled, order)], spec)
+    parts = head + tail
     return DirichletResult(
-        measure.weigh(parts), "quadrature", measure.weigh(estimates),
-        order, spec, tuple(parts), measure,
+        measure.weigh(parts), "quadrature",
+        measure.weigh((0.0,) * len(head) + estimates), order, spec, parts, measure,
     )
+
+
+def _quadrature_values(triples, spec: QuadratureSpec | None = None) -> list[
+    tuple[float, tuple[float, ...], tuple[float, ...], QuadratureSpec]
+]:
+    """Quadrature-route integrals of (f, measure, order) triples.
+
+    The mirror of :func:`_exact_values`: each triple gets its value, the
+    unit-mass parts of its whole measure, arc length first, their error
+    estimates and its grid, which :meth:`QuadratureSpec.choose` picks from
+    ``spec``, the degree of f and the order.  The triples of one order
+    and grid share one Horner pass over the coefficient block of their
+    ``f^(n)`` per grid (in runs of ``quadrature._NODE_BUDGET`` nodes times
+    columns), one angular mean and one FFT over the stacked ``|f^(n)|^2``;
+    each part then costs one contraction.  Every triple gets the floats
+    of its own ``poisson_weighted_energy`` call, and a failing triple
+    raises what it raises alone.
+    """
+    groups = {}
+    for t, (f, _, order) in enumerate(triples):
+        if order < 1:
+            raise ValueError("weight order must be a positive integer")
+        grid = QuadratureSpec.choose(spec, f.degree, order, f.exact)
+        groups.setdefault((order, grid), []).append(t)
+    results = [None] * len(triples)
+    for (order, grid), members in groups.items():
+        derivatives = [derivative(triples[t][0], order) for t in members]
+        measures = [triples[t][1] for t in members]
+
+        def sample(z, start, stop):
+            coeffs, _ = _coefficient_block(derivatives[start:stop])
+            # a lone f^(n) steps with Python numbers, which numpy adds
+            # faster than the rows of a one-column block
+            rows = coeffs.tolist() if coeffs.ndim == 1 else coeffs[:, :, None, None]
+            # a non-finite sample raises by name once the samples are checked
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _horner(rows, z).reshape(-1, *z.shape)
+
+        pairs = _poisson_energies(sample, order, grid, measures)
+        for t, measure, part_pairs in zip(members, measures, pairs):
+            parts = tuple(value for value, _ in part_pairs)
+            estimates = tuple(estimate for _, estimate in part_pairs)
+            results[t] = (measure.weigh(parts), parts, estimates, grid)
+    return results
 
 
 def _exact_values(triples) -> list[tuple[float, tuple[float, ...]]]:

@@ -7,7 +7,7 @@ Gauss-Legendre radially on [0, 1 - eps], uniform trapezoid in the angle,
 then Richardson extrapolation of the clip radius eps -> 0.  It is the
 right tool for integrands that are smooth away from the boundary.
 
-``poisson_weighted_energy`` handles the weights this package actually
+The Poisson-weighted route handles the weights this package actually
 integrates against: an atomic Poisson kernel (or plain arc length) times
 (1 - |z|^2)^(n-1).  The Poisson factor is an angular spike near its atom
 that uniform sampling aliases badly, so instead of sampling it we sample
@@ -16,7 +16,12 @@ convolve with the Poisson kernel's known coefficients r^|d|.  The angular
 step is then exact for band-limited integrands and the radial profile is
 smooth on the whole of [0, 1]; no clipping is needed.  The samples do not
 depend on the atom, so a whole measure costs one sampling per grid and
-one contraction per atom.
+one contraction per atom.  ``_poisson_energies`` runs it on stacked
+samplings of many functions: one check of the samples (``_checked_squares``),
+then one angular mean and one FFT over the stack and one contraction per
+part (``_poisson_contractions``).  ``dirichlet._quadrature_values`` samples
+the stack by Horner's rule; ``poisson_weighted_energy`` is the front for a
+black-box h, one sampling per grid.
 """
 
 from __future__ import annotations
@@ -215,6 +220,12 @@ def integrate_disc(
     return value, estimate
 
 
+#: Nodes times stacked samplings of one sampling pass: the default grid
+#: takes one sampling at a time, a smaller grid as many as fit.  It
+#: bounds the memory of a batch, not its floats.
+_NODE_BUDGET = 96 * 256
+
+
 #: Holds every grid, half grids included, that ``for_polynomial`` picks for
 #: degrees 0-20 at orders 1-4 (126 shapes with the default pair), and so
 #: every grid of ``verify all``; full, it holds at most about 70 MB.
@@ -231,37 +242,92 @@ def _poisson_grid(radial: int, angular: int) -> tuple[np.ndarray, ...]:
     return r, wr, z, freqs, kernel
 
 
-def _poisson_energies_on_grid(
-    values_fn, order: int, radial: int, angular: int, measure: CircleMeasure
-) -> list[float]:
-    r, wr, z, freqs, kernel = _poisson_grid(radial, angular)
-    samples = _sample(values_fn, z)
-    _check_finite(samples, z)
-    with np.errstate(over="ignore"):
+def _checked_squares(samples: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """|h|^2 of stacked samplings of h on the nodes ``z``, one per row.
+
+    Sampling by sampling in row order, a non-finite sample raises
+    :class:`SingularIntegrandError` and a square beyond the float range
+    ``OverflowError``, each naming the first such node of its sampling,
+    as if each sampling were checked alone.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
         squares = np.abs(samples) ** 2
-    overflow = np.isinf(squares)
-    if overflow.any():
-        raise OverflowError(
-            f"overflow: |h|^2 exceeds the float range at node {z[overflow][0]}"
-        )
-    profiles = []
-    if measure.lebesgue > 0:
-        profiles.append(squares.mean(axis=1))
-    if measure.atoms:
+    # a square is finite exactly when its sample is and it does not overflow
+    if not np.isfinite(squares).all():
+        for values, square in zip(samples, squares):
+            _check_finite(values, z)
+            overflow = np.isinf(square)
+            if overflow.any():
+                raise OverflowError(
+                    "overflow: |h|^2 exceeds the float range at node "
+                    f"{z[overflow][0]}"
+                )
+    return squares
+
+
+def _poisson_contractions(
+    squares: np.ndarray, order: int, measures
+) -> list[list[float]]:
+    """Unit-mass energies of stacked |h|^2 samplings on one grid.
+
+    ``squares[j]`` is sampled on the nodes of the ``(radial, angular)``
+    grid of its shape and integrated against each part of ``measures[j]``,
+    arc length first.  One angular mean and one FFT run over the whole
+    stack; each part then costs one contraction.  Every sampling gets the
+    floats it would get alone.
+    """
+    radial, angular = squares.shape[-2:]
+    r, wr, _, freqs, kernel = _poisson_grid(radial, angular)
+    if any(measure.lebesgue > 0 for measure in measures):
+        means = squares.mean(axis=-1)
+    if any(measure.atoms for measure in measures):
         # exact angular integral of squares * Poisson: convolve the sampled
         # Fourier coefficients with the kernel coefficients r^|d| e^(i d a)
-        smoothed = np.fft.fft(squares, axis=1) / angular * kernel
-        profiles += [
-            (smoothed * np.exp(1j * freqs * atom.angle)).sum(axis=1).real
-            for atom in measure.atoms
-        ]
+        smoothed = np.fft.fft(squares, axis=-1) / angular * kernel
     weight = (1.0 - r**2) ** (order - 1)
-    # the integrand |h|^2 * weight is non-negative; clip roundoff dust.
     # Divide exactly: n! (n-1)! overflows a float from order 99 on.
     norm = math.factorial(order) * math.factorial(order - 1)
+    energies = []
+    for j, measure in enumerate(measures):
+        profiles = [means[j]] if measure.lebesgue > 0 else []
+        profiles += [
+            (smoothed[j] * np.exp(1j * freqs * atom.angle)).sum(axis=1).real
+            for atom in measure.atoms
+        ]
+        # the integrand |h|^2 * weight is non-negative; clip roundoff dust
+        energies.append([
+            float(Fraction(max(float(np.sum(wr * profile * weight)), 0.0)) / norm)
+            for profile in profiles
+        ])
+    return energies
+
+
+def _poisson_energies(
+    sample, order: int, spec: QuadratureSpec, measures
+) -> list[list[tuple[float, float]]]:
+    """(value, error estimate) pairs of the parts of each measure.
+
+    ``sample(z, start, stop)`` returns the stacked samplings of h for
+    ``measures[start:stop]`` on the nodes ``z``.  Each grid of ``spec``
+    and its half grid is sampled in runs of at most ``_NODE_BUDGET``
+    nodes times samplings, and the values of both grids are paired as in
+    :func:`poisson_weighted_energy`.
+    """
+    grids = ((spec.radial, spec.angular),
+             (max(spec.radial // 2, 4), max(spec.angular // 2, 8)))
+    energies = []
+    for radial, angular in grids:
+        z = _poisson_grid(radial, angular)[2]
+        width = max(1, _NODE_BUDGET // z.size)
+        energies.append([])
+        for start in range(0, len(measures), width):
+            run = measures[start:start + width]
+            squares = _checked_squares(sample(z, start, start + len(run)), z)
+            energies[-1] += _poisson_contractions(squares, order, run)
+    fine, coarse = energies
     return [
-        float(Fraction(max(float(np.sum(wr * profile * weight)), 0.0)) / norm)
-        for profile in profiles
+        [(value, abs(value - half)) for value, half in zip(values, halves)]
+        for values, halves in zip(fine, coarse)
     ]
 
 
@@ -286,7 +352,8 @@ def poisson_weighted_energy(
     order.  :meth:`CircleMeasure.weigh` adds them up to the integral
     against the whole measure.  Each of the two grids is sampled once for
     all parts; every atom then costs one contraction of the smoothed
-    Fourier coefficients.
+    Fourier coefficients.  This is the black-box front of the contraction
+    that ``dirichlet._quadrature_values`` runs on stacked samplings.
 
     The rule is exact for a polynomial h of degree D on a grid with
     ``angular >= 2 D + 1`` and ``radial >= D + order``.  Angularly, |h|^2
@@ -306,10 +373,7 @@ def poisson_weighted_energy(
     if order < 1:
         raise ValueError("weight order must be a positive integer")
     measure = CircleMeasure.arc_length() if measure is None else measure
-    fine = _poisson_energies_on_grid(
-        values_fn, order, spec.radial, spec.angular, measure
+    (pairs,) = _poisson_energies(
+        lambda z, start, stop: _sample(values_fn, z)[None], order, spec, [measure]
     )
-    coarse = _poisson_energies_on_grid(
-        values_fn, order, max(spec.radial // 2, 4), max(spec.angular // 2, 8), measure
-    )
-    return [(value, abs(value - half)) for value, half in zip(fine, coarse)]
+    return pairs

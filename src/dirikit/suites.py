@@ -13,6 +13,7 @@ A check fails when its residual exceeds the suite tolerance or its own.
 
 from __future__ import annotations
 
+import cmath
 import inspect
 import itertools
 import math
@@ -24,13 +25,12 @@ import numpy as np
 from .dirichlet import (
     _exact_values,
     _local_integrals,
+    _quadrature_values,
     atomic_decompose,
     dilation_factor,
     dirichlet_kernel_section,
     dirichlet_sigma,
     dirichlet_sigma_inner,
-    dirichlet_weighted,
-    douglas_decompose,
     local_bergman_kernel,
     local_bergman_kernel_series,
     multiplier_norm_upper,
@@ -54,9 +54,15 @@ from .quadrature import QuadratureSpec
 _DRAW_DEGREE = 12
 _MONOMIAL_DEGREE = 15
 _SZEGO_DEGREE = 60
-#: Trials whose exact-route integrals one batch computes together; a
-#: bound keeps the live trials of a batch few.
+#: Trials whose integrals one batch computes together; a bound keeps the
+#: live trials of a batch few.  The exact route batches by order alone,
+#: so 20 trials fill its batches.  The quadrature suites ``douglas`` and
+#: ``tmap`` batch by (order, grid), and the grid follows each trial's
+#: degree, so they take ``_QUADRATURE_BATCH`` trials, of which most
+#: (order, grid) groups get several.  Their samples stay bounded by
+#: ``quadrature._NODE_BUDGET`` whatever the batch.
 _TRIAL_BATCH = 20
+_QUADRATURE_BATCH = 200
 
 
 def _json_number(value: float) -> float | str:
@@ -291,9 +297,9 @@ def _random_measure(rng: np.random.Generator) -> CircleMeasure:
     return CircleMeasure(atomic.atoms, float(rng.uniform(0.2, 2.0)))
 
 
-def _batches(draws):
-    """The (index, generator) draws in lists of up to ``_TRIAL_BATCH``."""
-    while batch := list(itertools.islice(draws, _TRIAL_BATCH)):
+def _batches(draws, size: int = _TRIAL_BATCH):
+    """The (index, generator) draws in lists of up to ``size``."""
+    while batch := list(itertools.islice(draws, size)):
         yield batch
 
 
@@ -337,17 +343,35 @@ def run_douglas(rec: _Recorder, draws, orders, spec) -> None:
     """Quadrature route of the local integral against the quotient series.
 
     Order 1 keeps a looser tolerance: its weight is genuinely singular at
-    the atom and only the angular convolution keeps it integrable.
+    the atom and only the angular convolution keeps it integrable.  As in
+    ``douglas_decompose``, the quadrature side integrates f against the
+    unit atom at lam, and the series side divides f at lam itself.  Each
+    batch of trials makes one quadrature-route call and one batch of
+    local integrals per order.
     """
-    for i, rng in draws:
-        n = orders[i % len(orders)]
-        f = _random_polynomial(rng)
-        angle = _random_angle(rng)
-        certificate = douglas_decompose(f, np.exp(1j * angle), n, spec)
-        record = {"trial": i, "n": n, "degree": f.degree, "atom_angle": angle}
-        # a chosen tolerance replaces the order-1 one as well
-        loose = 1e-3 if n == 1 and not rec.overridden else None
-        rec.equality(record, certificate.lhs, certificate.rhs, loose)
+    for batch in _batches(draws, _QUADRATURE_BATCH):
+        trials = []
+        for i, rng in batch:
+            n = orders[i % len(orders)]
+            f = _random_polynomial(rng)
+            angle = _random_angle(rng)
+            trials.append((i, n, f, angle, complex(np.exp(1j * angle))))
+        lhs = _quadrature_values([
+            (f, CircleMeasure.point_mass(cmath.phase(lam)), n)
+            for _, n, f, _, lam in trials
+        ], spec)
+        rhs = [None] * len(trials)
+        for n in dict.fromkeys(n for _, n, _, _, _ in trials):
+            columns = [c for c, (_, m, _, _, _) in enumerate(trials) if m == n]
+            local = _local_integrals([trials[c][2] for c in columns],
+                                     [trials[c][4] for c in columns], n)
+            for c, value in zip(columns, local):
+                rhs[c] = value
+        for (i, n, f, angle, _), (value, *_), expected in zip(trials, lhs, rhs):
+            record = {"trial": i, "n": n, "degree": f.degree, "atom_angle": angle}
+            # a chosen tolerance replaces the order-1 one as well
+            loose = 1e-3 if n == 1 and not rec.overridden else None
+            rec.equality(record, value, expected, loose)
 
 
 @_suite(trials=100, tolerance=1e-6, orders=[1, 2, 3, 4], highest_order=_DRAW_DEGREE + 1)
@@ -356,20 +380,25 @@ def run_tmap(rec: _Recorder, draws, orders, spec) -> None:
 
     The Bergman-side energy is quadrature over the disc; the source-side
     norm is the order-(n-1) coefficient series of f, drawn from the space
-    with vanishing coefficients below n-1.
+    with vanishing coefficients below n-1.  Each batch of trials makes
+    one call per route.
     """
-    for i, rng in draws:
-        n = orders[i % len(orders)]
-        f = _random_polynomial(rng, zero_below=n - 1)
-        angle = _random_angle(rng)
+    arc = CircleMeasure.arc_length()
+    for batch in _batches(draws, _QUADRATURE_BATCH):
+        trials = []
+        for i, rng in batch:
+            n = orders[i % len(orders)]
+            f = _random_polynomial(rng, zero_below=n - 1)
+            trials.append((i, n, f, _random_angle(rng)))
         # the quadrature route differentiates (z - lam) f: the lift of f
-        lhs = dirichlet_weighted(
-            times_linear(f, np.exp(1j * angle)), CircleMeasure.point_mass(angle),
-            n, spec, force_quadrature=True,
-        ).value
-        rhs = dirichlet_sigma(f, n - 1).value
-        record = {"trial": i, "n": n, "degree": f.degree, "atom_angle": angle}
-        rec.equality(record, lhs, rhs)
+        lhs = _quadrature_values([
+            (times_linear(f, np.exp(1j * angle)), CircleMeasure.point_mass(angle), n)
+            for _, n, f, angle in trials
+        ], spec)
+        rhs = _exact_values([(f, arc, n - 1) for _, n, f, _ in trials])
+        for (i, n, f, angle), (value, *_), (expected, _) in zip(trials, lhs, rhs):
+            record = {"trial": i, "n": n, "degree": f.degree, "atom_angle": angle}
+            rec.equality(record, value, expected)
 
 
 def _kernel_series_terms(order: int, r: float) -> int:
@@ -591,7 +620,8 @@ def run_szego(rec: _Recorder, draws, orders, spec) -> None:
 
     The quadrature side integrates a degree-60 truncation of the kernel;
     for the arc-length measure the exact coefficient series gives a much
-    tighter independent oracle, checked at 1e-10.
+    tighter independent oracle, checked at 1e-10.  The nine truncations
+    make one quadrature-route call.
     """
     measures = {
         "atom-1": CircleMeasure.point_mass(0.0),
@@ -604,14 +634,13 @@ def run_szego(rec: _Recorder, draws, orders, spec) -> None:
     points = [0.3 + 0.0j, 0.5j, -0.6 + 0.0j]
     # every part of the four measures, integrated once per truncation
     union = CircleMeasure((Atom(0.0, 1.0), Atom(math.pi / 2.0, 1.0)), 1.0)
+    keys = [(n, w) for n in orders for w in points]
+    results = _quadrature_values([
+        (dirichlet_kernel_section(w, 0, _SZEGO_DEGREE), union, n) for n, w in keys
+    ], spec)
     local = {}
-    for n in orders:
-        for w in points:
-            truncation = dirichlet_kernel_section(w, 0, _SZEGO_DEGREE)
-            arc, *atoms = dirichlet_weighted(
-                truncation, union, n, spec, force_quadrature=True
-            ).parts
-            local[n, w] = arc, dict(zip((a.angle for a in union.atoms), atoms))
+    for key, (_, (arc, *atoms), _, _) in zip(keys, results):
+        local[key] = arc, dict(zip((a.angle for a in union.atoms), atoms))
     for name, measure in measures.items():
         for n in orders:
             for w in points:

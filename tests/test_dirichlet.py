@@ -13,6 +13,7 @@ from dirikit import (
     BoundaryDivergenceError,
     CircleMeasure,
     QuadratureSpec,
+    SingularIntegrandError,
     atomic_decompose,
     dilation_factor,
     dirichlet_atomic_order_zero,
@@ -39,6 +40,7 @@ from dirikit.dirichlet import (
     _exact_values,
     _local_integrals,
     _multiplication_section,
+    _quadrature_values,
 )
 from dirikit.functions import InexactDivisionError, divide_by_root, times_linear
 
@@ -655,16 +657,24 @@ def test_quadrature_integral_adds_the_one_part_energies_in_order():
         assert result.value.hex() == total.hex()
 
 
-def test_quadrature_integral_samples_each_grid_once(monkeypatch):
+def _count_horner_passes(monkeypatch):
+    """Record the node shape of every Horner pass of the quadrature route."""
     import dirikit.dirichlet
 
     shapes = []
+    real = dirikit.dirichlet._horner
 
-    def counting(f, z):
+    def counting(rows, z):
         shapes.append(np.shape(z))
-        return evaluate(f, z)
+        return real(rows, z)
 
-    monkeypatch.setattr(dirikit.dirichlet, "evaluate", counting)
+    monkeypatch.setattr(dirikit.dirichlet, "_horner", counting)
+    return shapes
+
+
+def test_quadrature_integral_samples_each_grid_once(monkeypatch):
+    # one Horner pass per grid for the whole measure
+    shapes = _count_horner_passes(monkeypatch)
     f = AnalyticFunction(tuple(range(1, 18)))
     measure = _eight_atoms_plus_arc(np.random.default_rng(6))
     dirichlet_weighted(f, measure, 2, QuadratureSpec(), force_quadrature=True)
@@ -691,15 +701,7 @@ def test_chosen_grid_matches_the_exact_route_at_roundoff():
 
 
 def test_quadrature_samples_the_chosen_grids(monkeypatch):
-    import dirikit.dirichlet
-
-    shapes = []
-
-    def counting(f, z):
-        shapes.append(np.shape(z))
-        return evaluate(f, z)
-
-    monkeypatch.setattr(dirikit.dirichlet, "evaluate", counting)
+    shapes = _count_horner_passes(monkeypatch)
     f = AnalyticFunction(tuple(range(1, 18)))
     measure = _eight_atoms_plus_arc(np.random.default_rng(6))
     # degree 16 at order 2: radial 2 * 16, angular 2 * (2 * 14 + 1)
@@ -715,6 +717,88 @@ def test_quadrature_samples_the_chosen_grids(monkeypatch):
     truncated = dirichlet_weighted(AnalyticFunction(f.coeffs, False), measure, 2)
     assert shapes == [(96, 256), (48, 128)]
     assert truncated.spec == QuadratureSpec()
+
+
+def _mixed_quadrature_triples(rng):
+    """Triples at orders 1-4: exact and truncated f, a repeated f, and
+    arc length alone, atoms alone and 8 atoms plus arc length."""
+
+    def poly(degree, exact=True):
+        coeffs = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
+        return AnalyticFunction(coeffs, exact)
+
+    measures = (
+        CircleMeasure.arc_length(0.6),
+        CircleMeasure((Atom(0.4, 1.3), Atom(2.9, 0.5))),
+        _eight_atoms_plus_arc(rng),
+    )
+    repeated = poly(9)
+    return [
+        (f, measure, order)
+        for order in range(1, 5)
+        for f in (poly(int(rng.integers(0, 17))), poly(14, exact=False), repeated)
+        for measure in measures
+    ]
+
+
+def test_quadrature_batch_is_each_triples_own_integral():
+    # one call over mixed triples gives each triple the floats of its own
+    # dirichlet_weighted(..., force_quadrature=True): value, parts,
+    # estimate and grid.  The 200 degree-3 order-1 triples share the 8x16
+    # grid, a group wider than the node budget (192 columns of 8x16);
+    # under QuadratureSpec(64, 128) every order's group is.
+    rng = np.random.default_rng(16)
+    triples = _mixed_quadrature_triples(rng)
+    measures = [measure for _, measure, _ in triples[:3]]
+    wide = [
+        (AnalyticFunction(rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)),
+         measures[k % 3], 1)
+        for k in range(200)
+    ]
+    for spec, cases in ((None, triples + wide), (QuadratureSpec(64, 128), triples + wide[:20])):
+        batch = _quadrature_values(cases, spec)
+        for (f, measure, order), (value, parts, estimates, grid) in zip(cases, batch):
+            alone = dirichlet_weighted(f, measure, order, spec, force_quadrature=True)
+            assert value.hex() == alone.value.hex()
+            assert [p.hex() for p in parts] == [p.hex() for p in alone.parts]
+            assert measure.weigh(estimates).hex() == alone.error_estimate.hex()
+            assert grid == alone.spec
+    assert _quadrature_values([]) == []
+
+
+def test_quadrature_batch_parts_are_the_black_box_energies():
+    # the black-box front runs the same contraction: its (value, estimate)
+    # pairs are the batch's parts and estimates
+    triples = _mixed_quadrature_triples(np.random.default_rng(17))
+    for (f, measure, order), (_, parts, estimates, grid) in zip(
+        triples, _quadrature_values(triples)
+    ):
+        df = derivative(f, order)
+        pairs = poisson_weighted_energy(lambda z: evaluate(df, z), order, grid, measure)
+        assert [(v.hex(), e.hex()) for v, e in pairs] == [
+            (v.hex(), e.hex()) for v, e in zip(parts, estimates)
+        ]
+
+
+def test_quadrature_batch_raises_what_the_failing_triple_raises():
+    # the failing triple sits second in a stacked sampling of its grid
+    atom = CircleMeasure.point_mass(1.0)
+    fine = (AnalyticFunction((0.5, 1.0, -2.0j)), atom, 1)
+    failing = [
+        # f' = 1e200 + 2z: finite samples whose squares overflow
+        (AnalyticFunction((1e200, 1e200, 1.0)), OverflowError),
+        # f' = 1.7e308 (1 + z) overflows near z = 1: a non-finite sample
+        (AnalyticFunction((0.0, 1.7e308, 0.85e308)), SingularIntegrandError),
+    ]
+    for f, error in failing:
+        for spec in (None, QuadratureSpec(32, 64)):
+            with pytest.raises(error) as alone:
+                dirichlet_weighted(f, atom, 1, spec, force_quadrature=True)
+            with pytest.raises(error) as batch:
+                _quadrature_values([fine, (f, atom, 1), fine], spec)
+            assert str(batch.value) == str(alone.value)
+    with pytest.raises(ValueError, match="positive integer"):
+        _quadrature_values([fine, (fine[0], atom, 0)])
 
 
 def test_exact_route_builds_no_quadrature_spec(monkeypatch):

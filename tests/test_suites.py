@@ -159,35 +159,42 @@ def test_non_finite_residuals_fail_and_show_in_the_report():
 
 
 def test_quadrature_suites_leave_the_grid_to_each_integral(monkeypatch):
-    # without a spec the body sees None and douglas_decompose picks the grid
-    import dirikit.suites
+    # without a spec the body sees None and QuadratureSpec.choose picks the
+    # grid of every triple; a given spec is the grid of every triple
+    seen, grids = [], []
+    real = QuadratureSpec.choose.__func__
 
-    seen = []
-    real = dirikit.suites.douglas_decompose
-
-    def spying(f, point, order, spec=None):
+    def spying(cls, spec, degree, order, exact):
         seen.append(spec)
-        return real(f, point, order, spec)
+        grids.append(real(cls, spec, degree, order, exact))
+        return grids[-1]
 
-    monkeypatch.setattr(dirikit.suites, "douglas_decompose", spying)
+    monkeypatch.setattr(QuadratureSpec, "choose", classmethod(spying))
     assert run_douglas(trials=4).passed
     assert seen == [None] * 4
     spec = QuadratureSpec(64, 128)
     assert run_douglas(trials=2, spec=spec).passed
-    assert seen[4:] == [spec, spec]
+    assert seen[4:] == grids[4:] == [spec, spec]
 
 
 @pytest.mark.parametrize(
-    "name", ["dilation", "multiplier", "isometry", "shiftineq", "vsubspace"]
+    "name, spec",
+    [("dilation", None), ("multiplier", None), ("isometry", None),
+     ("shiftineq", None), ("vsubspace", None), ("douglas", None),
+     ("douglas", QuadratureSpec(32, 64)), ("tmap", None),
+     ("tmap", QuadratureSpec(32, 64))],
+    ids=["dilation", "multiplier", "isometry", "shiftineq", "vsubspace",
+         "douglas", "douglas-32,64", "tmap", "tmap-32,64"],
 )
-def test_trial_batches_do_not_move_a_trial(name):
+def test_trial_batches_do_not_move_a_trial(name, spec):
     # trial i is seeded by (seed, i) alone: a run of T trials lists the
     # failures of the first T trials of a longer run, wherever the batch
     # boundaries fall
-    batch = dirikit.suites._TRIAL_BATCH
+    batch = (dirikit.suites._QUADRATURE_BATCH if name in ("douglas", "tmap")
+             else dirikit.suites._TRIAL_BATCH)
 
     def trial_failures(trials):
-        report = run_suite(name, trials=trials, seed=3, tolerance=-1)
+        report = run_suite(name, trials=trials, seed=3, tolerance=-1, spec=spec)
         return [f.to_json() for f in report.failures if "trial" in f.record]
 
     longer = trial_failures(2 * batch + 7)
