@@ -38,7 +38,7 @@ from .functions import (
 )
 from .measures import Atom, CircleMeasure
 from .measures import szego_potential as _szego_potential
-from .quadrature import QuadratureSpec, _poisson_energies
+from .quadrature import QuadratureSpec, _poisson_energies, _runs
 
 
 @dataclass(frozen=True)
@@ -178,10 +178,17 @@ def dirichlet_sigma(f: AnalyticFunction, order: int) -> DirichletResult:
 
 def _series_sums(functions, order: int) -> list[float]:
     """The order-``order`` coefficient series of each function, from one
-    :func:`_sigma_sums` over their coefficient block."""
-    coeffs, _ = _coefficient_block(functions)
+    :func:`_sigma_sums` per block of :func:`_blocks`."""
     with np.errstate(over="ignore"):
-        return _sigma_sums(coeffs, order)
+        return [s for _, coeffs, _ in _blocks(functions)
+                for s in _sigma_sums(coeffs, order)]
+
+
+def _blocks(functions):
+    """(run, *:func:`_coefficient_block`) of each ``_runs`` of functions."""
+    rows = max((len(f.coeffs) for f in functions), default=1)
+    for run in _runs(len(functions), rows):
+        yield run, *_coefficient_block(functions[run])
 
 
 def dirichlet_sigma_inner(
@@ -248,11 +255,11 @@ def _quadrature_values(triples, spec: QuadratureSpec | None = None) -> list[
     estimates and its grid, which :meth:`QuadratureSpec.choose` picks from
     ``spec``, the degree of f and the order.  The triples of one order
     and grid share one Horner pass over the coefficient block of their
-    ``f^(n)`` per grid (in runs of ``quadrature._NODE_BUDGET`` nodes times
-    columns), one angular mean and one FFT over the stacked ``|f^(n)|^2``;
-    each part then costs one contraction.  Every triple gets the floats
-    of its own ``poisson_weighted_energy`` call, and a failing triple
-    raises what it raises alone.
+    ``f^(n)`` per grid (in ``quadrature._runs`` of nodes times columns),
+    one angular mean and one FFT over the stacked ``|f^(n)|^2``; each part
+    then costs one contraction.  Every triple gets the floats of its own
+    ``poisson_weighted_energy`` call, and the first failing triple raises
+    what it raises alone.
     """
     groups = {}
     for t, (f, _, order) in enumerate(triples):
@@ -265,8 +272,8 @@ def _quadrature_values(triples, spec: QuadratureSpec | None = None) -> list[
         derivatives = [derivative(triples[t][0], order) for t in members]
         measures = [triples[t][1] for t in members]
 
-        def sample(z, start, stop):
-            coeffs, _ = _coefficient_block(derivatives[start:stop])
+        def sample(z, run):
+            coeffs, _ = _coefficient_block(derivatives[run])
             # a lone f^(n) steps with Python numbers, which numpy adds
             # faster than the rows of a one-column block
             rows = coeffs.tolist() if coeffs.ndim == 1 else coeffs[:, :, None, None]
@@ -287,18 +294,18 @@ def _exact_values(triples) -> list[tuple[float, tuple[float, ...]]]:
 
     Each triple gets its value and its unit-mass parts, arc length first,
     as :func:`dirichlet_weighted` lists them.  The triples of one order
-    share one coefficient series over the block of their arc-length
+    share one coefficient series over the blocks of their arc-length
     parts and one batch of local integrals with a column per (f, atom);
     each value comes from :meth:`CircleMeasure.weigh`.  A triple with
-    atoms needs an exact f and a positive order; order 0 against arc
-    length is the squared Hardy norm.
+    atoms needs an exact f.  At order 0 the arc-length part is the squared
+    Hardy norm and an atom's part is |f(lam)|^2.
     """
     results = [None] * len(triples)
     for order in dict.fromkeys(n for _, _, n in triples):
         group = [(t, f, measure) for t, (f, measure, n) in enumerate(triples)
                  if n == order]
         arcs = [f for _, f, measure in group if measure.lebesgue > 0]
-        arc = iter(_series_sums(arcs, order) if arcs else ())
+        arc = iter(_series_sums(arcs, order))
         local = iter(_local_integrals(
             [f for _, f, measure in group for _ in measure.atoms],
             [atom.point for _, _, measure in group for atom in measure.atoms],
@@ -316,21 +323,33 @@ def _local_integrals(functions, points, order: int) -> list[float]:
 
     The local Douglas formula for every (f, lam) column at once, f from
     ``functions`` and lam from ``points``: column j is the quotient
-    (f_j - f_j(lam_j)) / (z - lam_j), integrated one order down.  The
-    functions may differ in degree, and points may repeat; no columns
-    give no integrals.
+    (f_j - f_j(lam_j)) / (z - lam_j), integrated one order down; at order
+    0 it is |f_j(lam_j)|^2.  Degrees may differ and points repeat.  Each
+    of :func:`_blocks` is one Horner pass, division and contraction, with
+    the floats of one call per column.  The first failing block raises:
+    ``OverflowError`` naming its first point whose value (or square)
+    exceeds the float range, else its largest residue's
+    :class:`InexactDivisionError`.
     """
-    if len(points) == 0:
-        return []
-    coeffs, degrees = _coefficient_block(functions)
     points = np.array(points)
-    # a lone column steps on numpy scalars (see _coefficient_block)
-    roots = points[0] if len(points) == 1 else points
-    # one errstate for the route, whose overflows raise by name
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = _values_on_circle(coeffs, roots)
-        quotients, _ = _divide_by_roots(coeffs, degrees, roots, values, True)
-        return _sigma_sums(quotients, order - 1)
+    integrals = []
+    for run, coeffs, degrees in _blocks(functions):
+        # a lone column steps on numpy scalars (see _coefficient_block)
+        roots = points[run.start] if coeffs.ndim == 1 else points[run]
+        # one errstate for the route, whose overflows raise by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = _values_on_circle(coeffs, roots)
+            if order > 0:
+                quotients, _ = _divide_by_roots(coeffs, degrees, roots, values, True)
+                integrals += _sigma_sums(quotients, order - 1)
+                continue
+            # hypot, then one pow, as abs(v) ** 2 and _sigma_sums square
+            squares = np.ravel(np.float_power(np.hypot(values.real, values.imag), 2.0))
+        if not np.isfinite(squares).all():
+            lam = np.ravel(roots)[~np.isfinite(squares)][0]
+            raise OverflowError(f"|f(lam)|^2 at lam={lam:.6f} exceeds the float range")
+        integrals += squares.tolist()
+    return integrals
 
 
 def dirichlet_atomic_order_zero(
@@ -339,13 +358,16 @@ def dirichlet_atomic_order_zero(
     """Order-zero integral for a purely atomic measure.
 
     Equals the mass-weighted sum of squared boundary values over the
-    atoms; a divergent boundary value at any atom makes it undefined.
+    atoms; a divergent boundary value at any atom makes it undefined.  An
+    exact f is the one-triple case of :func:`_exact_values`.
     """
     if not measure.is_atomic:
         raise ValueError("order-zero path requires a purely atomic measure")
-    total = 0.0
-    for atom in measure.atoms:
-        total += atom.mass * abs(boundary_value(f, atom.point)) ** 2
+    if f.exact:
+        ((total, _),) = _exact_values([(f, measure, 0)])
+    else:
+        squares = [abs(boundary_value(f, atom.point)) ** 2 for atom in measure.atoms]
+        total = measure.weigh(squares)
     return DirichletResult(total, "decomposition", 0.0, 0)
 
 

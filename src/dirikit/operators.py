@@ -15,11 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dirichlet import (
-    _binomial_row,
-    _exact_values,
-    dirichlet_atomic_order_zero,
-)
+from .dirichlet import _binomial_row, _exact_values
 from .functions import AnalyticFunction, multiply
 from .measures import CircleMeasure, MeasureTuple
 
@@ -27,9 +23,6 @@ logger = logging.getLogger(__name__)
 
 #: Below this, a defect or an order-zero integral counts as vanishing.
 VANISHING_TOLERANCE = 1e-9
-#: (Shift z^k f, tuple) pairs whose norms one exact-route batch computes;
-#: a bound keeps a batch's coefficient block small at high orders.
-_SHIFT_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -84,27 +77,25 @@ def tuple_norm_sq(f: AnalyticFunction, measures: MeasureTuple) -> float:
 def _tuple_norms(pairs) -> list[float]:
     """Squared tuple norms of (exact polynomial, measure tuple) pairs.
 
-    Each run of up to ``_SHIFT_BATCH`` pairs is one exact-route batch: it
-    gives every Hardy part, the order-0 integral against arc length, and
-    every order-j integral against the j-th entry of the pair's own
-    tuple.  Each norm adds them in entry order, as :func:`tuple_norm_sq`
-    of that pair alone does.
+    One :func:`_exact_values` call gives every Hardy part, the order-0
+    integral against arc length, and every order-j integral against the
+    j-th entry of the pair's own tuple; that route bounds its own blocks.
+    Each norm adds them in entry order, as :func:`tuple_norm_sq` of that
+    pair alone does.
     """
     if not all(f.exact for f, _ in pairs):
         raise ValueError("tuple norms are defined for exact polynomials only")
     arc = CircleMeasure.arc_length()
+    values = iter(_exact_values([
+        (f, measure, j) for f, measures in pairs
+        for j, measure in enumerate((arc, *measures.entries))
+    ]))
     totals = []
-    for start in range(0, len(pairs), _SHIFT_BATCH):
-        chunk = pairs[start:start + _SHIFT_BATCH]
-        values = iter(_exact_values([
-            (f, measure, j) for f, measures in chunk
-            for j, measure in enumerate((arc, *measures.entries))
-        ]))
-        for _, measures in chunk:
-            total = next(values)[0]
-            for _ in measures.entries:
-                total += next(values)[0]
-            totals.append(total)
+    for _, measures in pairs:
+        total = next(values)[0]
+        for _ in measures.entries:
+            total += next(values)[0]
+        totals.append(total)
     return totals
 
 
@@ -217,16 +208,17 @@ def defect_kernel_check(
 
 def _defect_kernel_checks(items) -> list[DefectKernelCheck]:
     """:func:`defect_kernel_check` of each (f, base, atomic) item, with
-    the defects of all items from one :func:`_defect_sequences` call."""
+    the defects of all items from one :func:`_defect_sequences` call and
+    their order-zero integrals from one :func:`_exact_values` call."""
     if not all(atomic.is_atomic for _, _, atomic in items):
         raise ValueError("second tuple entry must be purely atomic")
     reports = _defect_sequences([
         (f, MeasureTuple((base, atomic)), 2) for f, base, atomic in items
     ])
+    zeros = _exact_values([(f, atomic, 0) for f, _, atomic in items])
     checks = []
-    for (f, _, atomic), report in zip(items, reports):
+    for report, (order_zero, _) in zip(reports, zeros):
         defect2 = report.differences[2][0]
-        order_zero = dirichlet_atomic_order_zero(f, atomic).value
         consistent = (defect2 <= VANISHING_TOLERANCE) == (
             order_zero <= VANISHING_TOLERANCE
         )

@@ -220,10 +220,16 @@ def integrate_disc(
     return value, estimate
 
 
-#: Nodes times stacked samplings of one sampling pass: the default grid
-#: takes one sampling at a time, a smaller grid as many as fit.  It
-#: bounds the memory of a batch, not its floats.
-_NODE_BUDGET = 96 * 256
+#: Cells of one batched step, grid nodes times samplings or coefficient
+#: rows times columns: it bounds the memory of a batch, not its floats.
+_CELL_BUDGET = 96 * 256
+
+
+def _runs(count: int, rows: int) -> list[slice]:
+    """Runs over ``count`` columns of ``rows`` cells each, in order, of at
+    most ``_CELL_BUDGET`` cells, or one column where it alone exceeds it."""
+    width = max(1, _CELL_BUDGET // rows)
+    return [slice(start, start + width) for start in range(0, count, width)]
 
 
 #: Holds every grid, half grids included, that ``for_polynomial`` picks for
@@ -307,9 +313,9 @@ def _poisson_energies(
 ) -> list[list[tuple[float, float]]]:
     """(value, error estimate) pairs of the parts of each measure.
 
-    ``sample(z, start, stop)`` returns the stacked samplings of h for
-    ``measures[start:stop]`` on the nodes ``z``.  Each grid of ``spec``
-    and its half grid is sampled in runs of at most ``_NODE_BUDGET``
+    ``sample(z, run)`` returns the stacked samplings of h for
+    ``measures[run]`` on the nodes ``z``.  Each grid of ``spec`` and its
+    half grid is sampled in :func:`_runs` of at most ``_CELL_BUDGET``
     nodes times samplings, and the values of both grids are paired as in
     :func:`poisson_weighted_energy`.
     """
@@ -318,12 +324,10 @@ def _poisson_energies(
     energies = []
     for radial, angular in grids:
         z = _poisson_grid(radial, angular)[2]
-        width = max(1, _NODE_BUDGET // z.size)
         energies.append([])
-        for start in range(0, len(measures), width):
-            run = measures[start:start + width]
-            squares = _checked_squares(sample(z, start, start + len(run)), z)
-            energies[-1] += _poisson_contractions(squares, order, run)
+        for run in _runs(len(measures), z.size):
+            squares = _checked_squares(sample(z, run), z)
+            energies[-1] += _poisson_contractions(squares, order, measures[run])
     fine, coarse = energies
     return [
         [(value, abs(value - half)) for value, half in zip(values, halves)]
@@ -374,6 +378,6 @@ def poisson_weighted_energy(
         raise ValueError("weight order must be a positive integer")
     measure = CircleMeasure.arc_length() if measure is None else measure
     (pairs,) = _poisson_energies(
-        lambda z, start, stop: _sample(values_fn, z)[None], order, spec, [measure]
+        lambda z, run: _sample(values_fn, z)[None], order, spec, [measure]
     )
     return pairs

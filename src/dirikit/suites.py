@@ -36,14 +36,7 @@ from .dirichlet import (
     multiplier_norm_upper,
     szego_kernel_energy,
 )
-from .functions import (
-    AnalyticFunction,
-    _coefficient_block,
-    _values_on_circle,
-    dilate,
-    multiply,
-    times_linear,
-)
+from .functions import AnalyticFunction, dilate, multiply, times_linear
 from .measures import Atom, CircleMeasure, MeasureTuple
 from .operators import _defect_kernel_checks, _defect_sequences
 from .quadrature import QuadratureSpec
@@ -55,14 +48,9 @@ _DRAW_DEGREE = 12
 _MONOMIAL_DEGREE = 15
 _SZEGO_DEGREE = 60
 #: Trials whose integrals one batch computes together; a bound keeps the
-#: live trials of a batch few.  The exact route batches by order alone,
-#: so 20 trials fill its batches.  The quadrature suites ``douglas`` and
-#: ``tmap`` batch by (order, grid), and the grid follows each trial's
-#: degree, so they take ``_QUADRATURE_BATCH`` trials, of which most
-#: (order, grid) groups get several.  Their samples stay bounded by
-#: ``quadrature._NODE_BUDGET`` whatever the batch.
-_TRIAL_BATCH = 20
-_QUADRATURE_BATCH = 200
+#: live trials of a batch few.  The routes bound their own arrays by
+#: ``quadrature._CELL_BUDGET`` whatever the batch.
+_TRIAL_BATCH = 200
 
 
 def _json_number(value: float) -> float | str:
@@ -297,9 +285,9 @@ def _random_measure(rng: np.random.Generator) -> CircleMeasure:
     return CircleMeasure(atomic.atoms, float(rng.uniform(0.2, 2.0)))
 
 
-def _batches(draws, size: int = _TRIAL_BATCH):
-    """The (index, generator) draws in lists of up to ``size``."""
-    while batch := list(itertools.islice(draws, size)):
+def _batches(draws):
+    """The (index, generator) draws in lists of up to ``_TRIAL_BATCH``."""
+    while batch := list(itertools.islice(draws, _TRIAL_BATCH)):
         yield batch
 
 
@@ -346,10 +334,10 @@ def run_douglas(rec: _Recorder, draws, orders, spec) -> None:
     the atom and only the angular convolution keeps it integrable.  As in
     ``douglas_decompose``, the quadrature side integrates f against the
     unit atom at lam, and the series side divides f at lam itself.  Each
-    batch of trials makes one quadrature-route call and one batch of
-    local integrals per order.
+    batch of trials (``_batches``) makes one quadrature-route call and one
+    batch of local integrals per order; each route bounds its own arrays.
     """
-    for batch in _batches(draws, _QUADRATURE_BATCH):
+    for batch in _batches(draws):
         trials = []
         for i, rng in batch:
             n = orders[i % len(orders)]
@@ -380,11 +368,11 @@ def run_tmap(rec: _Recorder, draws, orders, spec) -> None:
 
     The Bergman-side energy is quadrature over the disc; the source-side
     norm is the order-(n-1) coefficient series of f, drawn from the space
-    with vanishing coefficients below n-1.  Each batch of trials makes
-    one call per route.
+    with vanishing coefficients below n-1.  Each batch of trials
+    (``_batches``) makes one call per route.
     """
     arc = CircleMeasure.arc_length()
-    for batch in _batches(draws, _QUADRATURE_BATCH):
+    for batch in _batches(draws):
         trials = []
         for i, rng in batch:
             n = orders[i % len(orders)]
@@ -554,9 +542,8 @@ def run_multiplier(rec: _Recorder, draws, orders) -> None:
     certified upper bound taken at doubled section degree.  The
     inequalities presuppose a non-degenerate local integral of f, so f is
     drawn with degree at least n.  The sum over k is D_1(f) + ... + D_n(f),
-    n local integrals of f at lam; they, D_n(phi f) and D_n(phi) of each
-    batch of trials come from one exact-route call, and the values f(lam)
-    of the batch from one evaluation of its coefficient block.
+    n local integrals of f at lam; they, D_n(phi f), D_n(phi) and the
+    order-0 integral |f(lam)|^2 of each batch come from one exact-route call.
     """
     for batch in _batches(draws):
         trials = []
@@ -571,19 +558,14 @@ def run_multiplier(rec: _Recorder, draws, orders) -> None:
             triples.append((multiply(phi, f, max_degree=phi.degree + f.degree),
                             measure, n))
             triples.append((phi, measure, n))
-            triples += [(f, measure, k) for k in range(1, n + 1)]
+            # order 0 is |f(lam)|^2, then D_1(f) .. D_n(f)
+            triples += [(f, measure, k) for k in range(n + 1)]
         values = iter(value for value, _ in _exact_values(triples))
-        coeffs, _ = _coefficient_block([f for _, _, _, f, _, _ in trials])
-        with np.errstate(over="ignore", invalid="ignore"):
-            f_lams = _values_on_circle(
-                coeffs, [np.exp(1j * angle) for _, _, _, _, angle, _ in trials]
-            ).tolist()
-        for (i, n, phi, f, angle, _), f_lam in zip(trials, f_lams):
-            d_pf, d_p = next(values), next(values)
+        for i, n, phi, f, angle, _ in trials:
+            d_pf, d_p, fstar = next(values), next(values), next(values)
             d_f = sum(next(values) for _ in range(n))
             section = (n - 1) + phi.degree + 16
             upper = multiplier_norm_upper(phi, n - 1, 2 * section)
-            fstar = abs(f_lam) ** 2
             record = {"trial": i, "n": n, "deg_phi": phi.degree,
                       "deg_f": f.degree, "atom_angle": angle}
             rec.upper_bound(
@@ -674,8 +656,8 @@ def run_isometry(rec: _Recorder, draws) -> None:
     polynomials of the shift power, so the (m+1)-th forward difference
     must vanish; for length-2 tuples with an atomic second entry the
     second difference must additionally be non-negative, checked at 1e-9.
-    The defect sequences of each batch of trials come from one batched
-    call.
+    The defect sequences of each batch of trials come from one
+    ``_defect_sequences`` call, one exact-route call over every shift.
     """
     for batch in _batches(draws):
         trials = []
@@ -711,7 +693,7 @@ def run_vsubspace(rec: _Recorder, draws) -> None:
     Even trials force the root case by multiplying through the atom
     factors; odd trials use generic polynomials, which almost surely do
     not vanish at the atoms.  The checks of each batch of trials come
-    from one batched call.
+    from one ``_defect_kernel_checks`` call (two exact-route calls).
     """
     for batch in _batches(draws):
         trials = []

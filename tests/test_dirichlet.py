@@ -12,9 +12,12 @@ from dirikit import (
     Atom,
     BoundaryDivergenceError,
     CircleMeasure,
+    MeasureTuple,
     QuadratureSpec,
     SingularIntegrandError,
     atomic_decompose,
+    boundary_value,
+    defect_sequence,
     dilation_factor,
     dirichlet_atomic_order_zero,
     dirichlet_kernel_section,
@@ -34,7 +37,7 @@ from dirikit import (
     szego_kernel_energy,
     szego_potential,
 )
-from dirikit import dirichlet
+from dirikit import dirichlet, quadrature
 from dirikit.dirichlet import (
     _exact_power_series,
     _exact_values,
@@ -167,6 +170,52 @@ def test_order_zero_divergent():
     f = AnalyticFunction(tuple(10.0**k for k in range(25)), exact=False)
     with pytest.raises(BoundaryDivergenceError):
         dirichlet_atomic_order_zero(f, CircleMeasure.point_mass(0.0))
+
+
+def test_an_overflowing_order_zero_square_names_its_point():
+    # f(1) = 2e154 is finite, its square is not
+    with pytest.raises(OverflowError, match=r"lam=1\.000000\+0\.000000j exceeds"):
+        dirichlet_atomic_order_zero(
+            AnalyticFunction((1e154, 1e154)), CircleMeasure.point_mass(0.0)
+        )
+    # in a batch, the overflowing column names its own point: g(1) = 0
+    # and g(-1) = 2e154
+    measure = CircleMeasure((Atom(0.0, 1.0), Atom(math.pi, 1.0)))
+    g = AnalyticFunction((1e154, -1e154))
+    with pytest.raises(OverflowError, match=r"lam=-1\.000000\+0\.000000j exceeds"):
+        _exact_values([(mono(1), measure, 0), (g, measure, 0)])
+
+
+def test_order_zero_triples_are_the_hardy_norm_plus_the_squared_values():
+    # one batch of order-0 triples, each against its own measure: an
+    # atomic one gives dirichlet_atomic_order_zero, a mixed one
+    # lebesgue * H^2 + sum mass * |f(lam)|^2 added left to right
+    rng = np.random.default_rng(17)
+    triples = []
+    for case in range(60):
+        degree = int(rng.integers(0, 30))
+        f = AnalyticFunction(rng.standard_normal(degree + 1)
+                             + 1j * rng.standard_normal(degree + 1))
+        atoms = tuple(
+            Atom(2.0 * math.pi * (i + 0.8 * rng.uniform()) / 8, rng.uniform(0.2, 2.0))
+            for i in sorted(rng.choice(8, int(rng.integers(0, 9)), replace=False))
+        )
+        triples.append((f, CircleMeasure(atoms, [0.0, 0.7][case % 2]), 0))
+    for (f, measure, _), (value, parts) in zip(triples, _exact_values(triples),
+                                               strict=True):
+        squares = [abs(boundary_value(f, a.point)) ** 2 for a in measure.atoms]
+        expected = 0.0
+        if measure.lebesgue > 0:
+            hardy = dirichlet_sigma(f, 0).value
+            squares.insert(0, hardy)
+            expected = measure.lebesgue * hardy
+        else:
+            alone = dirichlet_atomic_order_zero(f, measure).value
+            assert value.hex() == alone.hex()
+        for atom in measure.atoms:
+            expected += atom.mass * abs(boundary_value(f, atom.point)) ** 2
+        assert value.hex() == expected.hex()
+        assert [p.hex() for p in parts] == [p.hex() for p in squares]
 
 
 # -------------------------------------------------------- decomposition
@@ -959,6 +1008,51 @@ def test_parts_are_the_one_part_integrals_and_weigh_to_the_value(monkeypatch):
     huge = AnalyticFunction((1.7e308, 1.7e308))
     with pytest.raises(OverflowError, match=r"lam=0\.070737\+0\.997495j exceeds"):
         _local_integrals([fine, huge, small], points, 2)
+
+
+def test_exact_route_blocks_stay_within_the_cell_budget(monkeypatch):
+    # no coefficient block of the exact route exceeds the cell budget
+    # unless one column alone does, and the runs keep every float
+    shapes = []
+    block = dirichlet._coefficient_block
+
+    def spying(functions):
+        coeffs, degrees = block(functions)
+        shapes.append(coeffs.shape)
+        return coeffs, degrees
+
+    def blocks_within(budget):
+        within = all(len(shape) == 1 or math.prod(shape) <= budget for shape in shapes)
+        shapes.clear()
+        return within
+
+    monkeypatch.setattr(dirichlet, "_coefficient_block", spying)
+    rng = np.random.default_rng(41)
+    f = AnalyticFunction(rng.standard_normal(2001) + 1j * rng.standard_normal(2001))
+    atoms = tuple(
+        Atom(2.0 * math.pi * (k + 0.5 * rng.uniform()) / 50, rng.uniform(0.2, 2.0))
+        for k in range(50)
+    )
+    measure = CircleMeasure(atoms, 0.7)
+    budget = quadrature._CELL_BUDGET
+    split = dirichlet_weighted(f, measure, 2)
+    # 50 atom columns of 2001 rows: about 100k cells in one block
+    assert 50 * 2001 > budget and len(shapes) > 2 and blocks_within(budget)
+    monkeypatch.setattr(quadrature, "_CELL_BUDGET", 50 * 2001)
+    whole = dirichlet_weighted(f, measure, 2)
+    assert (2001, 50) in shapes
+    shapes.clear()
+    assert [p.hex() for p in split.parts] == [p.hex() for p in whole.parts]
+    assert split.value.hex() == whole.value.hex()
+    monkeypatch.undo()
+    g = AnalyticFunction(rng.standard_normal(9) + 1j * rng.standard_normal(9))
+    tuples = MeasureTuple((measure, CircleMeasure(atoms[:3]), CircleMeasure.zero()))
+    default = defect_sequence(g, tuples, 60)
+    monkeypatch.setattr(dirichlet, "_coefficient_block", spying)
+    monkeypatch.setattr(quadrature, "_CELL_BUDGET", 256)
+    patched = defect_sequence(g, tuples, 60)
+    assert len(shapes) > 2 and blocks_within(256)
+    assert [b.hex() for b in patched.beta] == [b.hex() for b in default.beta]
 
 
 def test_quotient_full_norm_is_the_sum_of_local_integrals():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import dirikit.quadrature
 from dirikit import (
     AnalyticFunction,
     Atom,
@@ -17,7 +18,6 @@ from dirikit import (
     tuple_norm_sq,
 )
 from dirikit.operators import (
-    _SHIFT_BATCH,
     _atom_pair_matrix,
     _defect_kernel_checks,
     _defect_sequences,
@@ -228,24 +228,17 @@ def _random_entry(rng):
     return CircleMeasure(atoms, 0.0 if kind == 2 else float(rng.uniform(0.2, 2)))
 
 
-def test_batched_defects_are_each_items_own():
+def test_batched_defects_are_each_items_own(monkeypatch):
     # one batch of items with different tuples, zero entries among them,
-    # and max orders up to 39, whose shifts span several _SHIFT_BATCH runs
-    # of pairs, gives each item its defect_sequence and defect_kernel_check
-    # bit for bit
+    # and max orders up to 39, whose shifts span many runs of a cell budget
+    # patched down, gives each item its defect_sequence and
+    # defect_kernel_check at the default budget, bit for bit
     rng = np.random.default_rng(15)
     items = []
     for max_order in (1, 39, 2, 3, 17, 5, 1, 4, 2):
         entries = [_random_entry(rng) for _ in range(int(rng.integers(1, 4)))]
         entries[int(rng.integers(0, len(entries)))] = CircleMeasure.zero()
         items.append((_random_function(rng, 8), MeasureTuple(tuple(entries)), max_order))
-    assert sum(top + 1 for _, _, top in items) > 4 * _SHIFT_BATCH
-    for report, item in zip(_defect_sequences(items), items, strict=True):
-        alone = defect_sequence(*item)
-        assert [b.hex() for b in report.beta] == [b.hex() for b in alone.beta]
-        assert {p: [v.hex() for v in seq] for p, seq in report.differences.items()} == {
-            p: [v.hex() for v in seq] for p, seq in alone.differences.items()
-        }
     checks = []
     for rooted in (True, False, True, False, False):
         atomic = CircleMeasure(_random_entry(rng).atoms or (Atom(1.0, 1.0),))
@@ -253,8 +246,18 @@ def test_batched_defects_are_each_items_own():
         for atom in atomic.atoms if rooted else ():
             f = f * AnalyticFunction((-atom.point, 1.0))
         checks.append((f, _random_entry(rng), atomic))
-    for check, item in zip(_defect_kernel_checks(checks), checks, strict=True):
-        alone = defect_kernel_check(*item)
+    sequences = [defect_sequence(*item) for item in items]
+    kernel_checks = [defect_kernel_check(*item) for item in checks]
+    budget = 256
+    monkeypatch.setattr(dirikit.quadrature, "_CELL_BUDGET", budget)
+    rows = max(f.degree + top for f, _, top in items) + 1
+    assert sum(top + 1 for _, _, top in items) > 4 * (budget // rows)
+    for report, alone in zip(_defect_sequences(items), sequences, strict=True):
+        assert [b.hex() for b in report.beta] == [b.hex() for b in alone.beta]
+        assert {p: [v.hex() for v in seq] for p, seq in report.differences.items()} == {
+            p: [v.hex() for v in seq] for p, seq in alone.differences.items()
+        }
+    for check, alone in zip(_defect_kernel_checks(checks), kernel_checks, strict=True):
         assert check.defect2.hex() == alone.defect2.hex()
         assert check.order_zero.hex() == alone.order_zero.hex()
         assert check.consistent == alone.consistent

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import dirikit.quadrature
 import dirikit.suites
 from dirikit import QuadratureSpec
 from dirikit.suites import (
@@ -186,12 +187,14 @@ def test_quadrature_suites_leave_the_grid_to_each_integral(monkeypatch):
     ids=["dilation", "multiplier", "isometry", "shiftineq", "vsubspace",
          "douglas", "douglas-32,64", "tmap", "tmap-32,64"],
 )
-def test_trial_batches_do_not_move_a_trial(name, spec):
+def test_trial_batches_do_not_move_a_trial(name, spec, monkeypatch):
     # trial i is seeded by (seed, i) alone: a run of T trials lists the
     # failures of the first T trials of a longer run, wherever the batch
-    # boundaries fall
-    batch = (dirikit.suites._QUADRATURE_BATCH if name in ("douglas", "tmap")
-             else dirikit.suites._TRIAL_BATCH)
+    # boundaries fall; the trial batch and the cell budget are patched
+    # down, so that the runs split inside each call as well
+    batch = 7
+    monkeypatch.setattr(dirikit.suites, "_TRIAL_BATCH", batch)
+    monkeypatch.setattr(dirikit.quadrature, "_CELL_BUDGET", 64)
 
     def trial_failures(trials):
         report = run_suite(name, trials=trials, seed=3, tolerance=-1, spec=spec)
