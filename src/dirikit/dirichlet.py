@@ -29,6 +29,7 @@ from .functions import (
     _coefficient_block,
     _divide_by_roots,
     _horner,
+    _unimodular,
     _values_on_circle,
     boundary_value,
     derivative,
@@ -186,9 +187,9 @@ def _series_sums(functions, order: int) -> list[float]:
 
 def _blocks(functions):
     """(run, *:func:`_coefficient_block`) of each ``_runs`` of functions."""
-    rows = max((len(f.coeffs) for f in functions), default=1)
-    for run in _runs(len(functions), rows):
-        yield run, *_coefficient_block(functions[run])
+    lengths = [len(f.coeffs) for f in functions]
+    for run in _runs(len(functions), max(lengths, default=1)):
+        yield run, *_coefficient_block(functions[run], lengths[run])
 
 
 def dirichlet_sigma_inner(
@@ -270,10 +271,11 @@ def _quadrature_values(triples, spec: QuadratureSpec | None = None) -> list[
     results = [None] * len(triples)
     for (order, grid), members in groups.items():
         derivatives = [derivative(triples[t][0], order) for t in members]
+        lengths = [len(d.coeffs) for d in derivatives]
         measures = [triples[t][1] for t in members]
 
         def sample(z, run):
-            coeffs, _ = _coefficient_block(derivatives[run])
+            coeffs, _ = _coefficient_block(derivatives[run], lengths[run])
             # a lone f^(n) steps with Python numbers, which numpy adds
             # faster than the rows of a one-column block
             rows = coeffs.tolist() if coeffs.ndim == 1 else coeffs[:, :, None, None]
@@ -379,20 +381,21 @@ def douglas_decompose(
 ) -> DouglasCertificate:
     """Local decomposition f = alpha + (z - lam) g with a two-route check.
 
-    alpha is the boundary value at lam, g the synthetic quotient; the
-    certificate carries the quadrature value of the local integral of f
-    (lhs, from :func:`dirichlet_weighted` with ``force_quadrature``) next
-    to the coefficient series of g one order down (rhs).
+    lam is the point of the unit atom at the phase of ``boundary_point``,
+    which must lie on the unit circle; alpha is the boundary value at lam,
+    g the synthetic quotient.  The certificate carries the quadrature value
+    of the local integral of f against that atom (lhs, from
+    :func:`dirichlet_weighted` with ``force_quadrature``) next to the
+    coefficient series of g one order down (rhs).
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
-    lam = complex(boundary_point)
+    phase = cmath.phase(_unimodular(boundary_point, "boundary"))
+    measure = CircleMeasure.point_mass(phase)
+    lam = measure.atoms[0].point
     alpha = boundary_value(f, lam)
     quotient = divide_by_root(f, lam, alpha)
-    lhs = dirichlet_weighted(
-        f, CircleMeasure.point_mass(cmath.phase(lam)), order, spec,
-        force_quadrature=True,
-    )
+    lhs = dirichlet_weighted(f, measure, order, spec, force_quadrature=True)
     rhs = dirichlet_sigma(quotient, order - 1).value
     return DouglasCertificate(
         alpha=alpha,
@@ -557,8 +560,9 @@ def atomic_decompose(
     """
     if len(atom_angles) == 0:
         raise ValueError("need at least one atom")
-    CircleMeasure(tuple(Atom(a, 1.0) for a in atom_angles))
-    points = [cmath.exp(1j * a) for a in atom_angles]
+    atoms = tuple(Atom(a, 1.0) for a in atom_angles)
+    CircleMeasure(atoms)
+    points = [atom.point for atom in atoms]
     values = [boundary_value(f, point) for point in points]
     interpolant = _lagrange_interpolant(points, values)
     quotient = f + (-1.0) * interpolant

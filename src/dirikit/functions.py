@@ -148,19 +148,19 @@ def _horner(rows, zs):
     return acc
 
 
-def _coefficient_block(functions):
+def _coefficient_block(functions, lengths):
     """The coefficients of many functions side by side, with their degrees.
 
-    Column j holds the coefficients of ``functions[j]``, zero-padded up
-    to the highest degree, and ``degrees[j]`` its own degree.  A lone
-    function gives its own coefficient vector and degree instead:
-    :func:`_values_on_circle` and :func:`_divide_by_roots` step with its
-    coefficients as Python numbers, and at a lone point with numpy
-    scalars, about ten times faster than on a one-column block.
+    Column j holds the ``lengths[j]`` coefficients of ``functions[j]``,
+    zero-padded up to the highest degree, and ``degrees[j]`` its own
+    degree; the caller takes the lengths once.  A lone function gives its
+    own coefficient vector and degree instead: :func:`_values_on_circle`
+    and :func:`_divide_by_roots` step with its coefficients as Python
+    numbers, and at a lone point with numpy scalars, about ten times
+    faster than on a one-column block.
     """
     if len(functions) == 1:
-        return functions[0].coeffs, functions[0].degree
-    lengths = [len(f.coeffs) for f in functions]
+        return functions[0].coeffs, lengths[0] - 1
     block = np.zeros((max(lengths), len(functions)), dtype=complex)
     for j, f in enumerate(functions):
         block[: lengths[j], j] = f.coeffs
@@ -255,10 +255,7 @@ def divide_by_root(
     exact polynomial at lam.  Exact inputs with a non-zero residue raise
     :class:`InexactDivisionError`; truncations keep the division.
     """
-    lam = complex(lam)
-    # written so that a NaN point fails it too
-    if not abs(abs(lam) - 1.0) <= 1e-9:
-        raise ValueError("division point must lie on the unit circle")
+    lam = _unimodular(lam, "division")
     out, _ = _divide_by_roots(f.coeffs, f.degree, np.complex128(lam), alpha, f.exact)
     return AnalyticFunction(out, f.exact)
 
@@ -315,6 +312,16 @@ def _divide_by_roots(coeffs, degrees, lams, alphas, exact: bool):
     return out, residues
 
 
+def _unimodular(lam: complex, role: str) -> complex:
+    """``lam`` as a Python complex; ``ValueError`` naming its role unless
+    it lies within 1e-9 of the unit circle."""
+    lam = complex(lam)
+    # written so that a NaN point fails it too
+    if not abs(abs(lam) - 1.0) <= 1e-9:
+        raise ValueError(f"{role} point must lie on the unit circle")
+    return lam
+
+
 def boundary_value(f: AnalyticFunction, lam: complex) -> complex:
     """Radial boundary value f*(lam) of f at a unimodular point.
 
@@ -325,10 +332,7 @@ def boundary_value(f: AnalyticFunction, lam: complex) -> complex:
     sample beyond the divergence threshold means the limit does not
     exist, and :class:`BoundaryDivergenceError` is raised.
     """
-    lam = complex(lam)
-    # written so that a NaN point fails it too
-    if not abs(abs(lam) - 1.0) <= 1e-9:
-        raise ValueError("boundary point must lie on the unit circle")
+    lam = _unimodular(lam, "boundary")
     with np.errstate(over="ignore", invalid="ignore"):
         if f.exact:
             return _values_on_circle(f.coeffs, lam)

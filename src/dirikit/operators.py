@@ -99,14 +99,14 @@ def _tuple_norms(pairs) -> list[float]:
     return totals
 
 
-def _atom_pair_matrix(angle: float, order: int, degree: int) -> np.ndarray:
+def _atom_pair_matrix(lam: complex, order: int, degree: int) -> np.ndarray:
     """Polarized atom inner products of monomials via the quotient path.
 
-    The monomial z^k splits at the atom as lam^k + (z - lam) g_k with
-    g_k = sum_{t<k} lam^(k-1-t) z^t, and the pairing of z^j with z^k is
-    the order-(n-1) arc-length pairing of g_j with g_k.
+    ``lam`` is the atom's :attr:`Atom.point`.  The monomial z^k splits
+    at the atom as lam^k + (z - lam) g_k with g_k = sum_{t<k}
+    lam^(k-1-t) z^t, and the pairing of z^j with z^k is the order-(n-1)
+    arc-length pairing of g_j with g_k.
     """
-    lam = complex(np.exp(1j * angle))
     powers = lam ** np.arange(degree)
     exponents = np.arange(degree + 1)[:, None] - 1 - np.arange(degree)
     basis = np.where(exponents >= 0, powers[np.maximum(exponents, 0)], 0)
@@ -129,7 +129,7 @@ def gram_section(measures: MeasureTuple, degree: int) -> GramSection:
         if measure.lebesgue > 0:
             matrix += measure.lebesgue * np.diag(_binomial_row(j, size))
         for atom in measure.atoms:
-            matrix += atom.mass * _atom_pair_matrix(atom.angle, j, degree)
+            matrix += atom.mass * _atom_pair_matrix(atom.point, j, degree)
     return GramSection(measures, degree, matrix)
 
 

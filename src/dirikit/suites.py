@@ -13,7 +13,6 @@ A check fails when its residual exceeds the suite tolerance or its own.
 
 from __future__ import annotations
 
-import cmath
 import inspect
 import itertools
 import math
@@ -51,6 +50,10 @@ _SZEGO_DEGREE = 60
 #: live trials of a batch few.  The routes bound their own arrays by
 #: ``quadrature._CELL_BUDGET`` whatever the batch.
 _TRIAL_BATCH = 200
+#: Most atoms of a random atomic measure, and their least angle apart,
+#: which keeps division away from ill-conditioned coinciding atoms.
+_MAX_ATOMS = 3
+_ATOM_SEPARATION = 0.05
 
 
 def _json_number(value: float) -> float | str:
@@ -253,23 +256,18 @@ def _random_angle(rng: np.random.Generator) -> float:
     return float(rng.uniform(0.0, 2.0 * math.pi))
 
 
-def _random_atom_angles(
-    rng: np.random.Generator, count: int, separation: float = 0.05
-) -> list[float]:
-    # resample until pairwise separated; keeps interpolation and division
-    # away from the ill-conditioned coincident-atom regime
+def _random_atom_angles(rng: np.random.Generator, count: int) -> list[float]:
+    # resample until pairwise separated by _ATOM_SEPARATION
     while True:
         angles = sorted(_random_angle(rng) for _ in range(count))
         gaps = [b - a for a, b in zip(angles, angles[1:])]
         gaps.append(2.0 * math.pi - angles[-1] + angles[0] if count > 1 else 1.0)
-        if count == 1 or min(gaps) >= separation:
+        if count == 1 or min(gaps) >= _ATOM_SEPARATION:
             return angles
 
 
-def _random_atomic_measure(
-    rng: np.random.Generator, max_atoms: int = 3
-) -> CircleMeasure:
-    count = int(rng.integers(1, max_atoms + 1))
+def _random_atomic_measure(rng: np.random.Generator) -> CircleMeasure:
+    count = int(rng.integers(1, _MAX_ATOMS + 1))
     angles = _random_atom_angles(rng, count)
     atoms = tuple(Atom(a, float(rng.uniform(0.2, 2.0))) for a in angles)
     return CircleMeasure(atoms, 0.0)
@@ -298,32 +296,29 @@ def run_monomial(rec: _Recorder, draws, orders) -> None:
     The oracle is the binomial coefficient itself (hockey-stick closed
     form); the computed side goes through boundary division plus the
     order-(n-1) coefficient series, and must also coincide with the plain
-    arc-length series for z^k.  One batch of local integrals per order
-    holds every (monomial, trial point) column.
+    arc-length series for z^k.  Each batch of trials (``_batches``) makes
+    one batch of local integrals per order, with every (monomial, trial
+    point) column of the batch.
     """
-    trials = [(i, _random_angle(rng)) for i, rng in draws]
-    points = [Atom(angle, 1.0).point for _, angle in trials]
     degrees = range(_MONOMIAL_DEGREE + 1)
     monomials = [AnalyticFunction.monomial(k) for k in degrees]
-    columns = [zk for zk in monomials for _ in points]
-    # local[a, k, c] is the order-orders[a] local integral of z^k at trial
-    # c's point; one float array holds them in a sliver of a dict's memory
-    local = np.empty((len(orders), len(degrees), len(trials)))
-    sigma = {}
-    for a, n in enumerate(orders):
-        local[a] = np.reshape(
-            _local_integrals(columns, points * len(monomials), n), local[a].shape
-        )
-        for k, zk in enumerate(monomials):
-            sigma[n, k] = dirichlet_sigma(zk, n).value
-    for c, (i, angle) in enumerate(trials):
-        values = local[:, :, c].tolist()
-        for a, n in enumerate(orders):
-            for k in degrees:
-                record = {"trial": i, "k": k, "n": n, "atom_angle": angle}
-                value = values[a][k]
-                rec.equality(record, value, float(math.comb(k, n)))
-                rec.equality({**record, "check": "sigma-agrees"}, value, sigma[n, k])
+    sigma = {(n, k): dirichlet_sigma(zk, n).value
+             for n in orders for k, zk in enumerate(monomials)}
+    for batch in _batches(draws):
+        trials = [(i, _random_angle(rng)) for i, rng in batch]
+        points = [Atom(angle, 1.0).point for _, angle in trials]
+        columns = [zk for zk in monomials for _ in points]
+        # local[a][k * len(trials) + c] is the order-orders[a] local
+        # integral of z^k at trial c's point
+        local = [_local_integrals(columns, points * len(monomials), n) for n in orders]
+        for c, (i, angle) in enumerate(trials):
+            for values, n in zip(local, orders):
+                for k in degrees:
+                    record = {"trial": i, "k": k, "n": n, "atom_angle": angle}
+                    value = values[k * len(trials) + c]
+                    rec.equality(record, value, float(math.comb(k, n)))
+                    rec.equality({**record, "check": "sigma-agrees"}, value,
+                                 sigma[n, k])
 
 
 @_suite(trials=200, tolerance=1e-6, orders=[1, 2, 3, 4], highest_order=_DRAW_DEGREE)
@@ -331,31 +326,24 @@ def run_douglas(rec: _Recorder, draws, orders, spec) -> None:
     """Quadrature route of the local integral against the quotient series.
 
     Order 1 keeps a looser tolerance: its weight is genuinely singular at
-    the atom and only the angular convolution keeps it integrable.  As in
-    ``douglas_decompose``, the quadrature side integrates f against the
-    unit atom at lam, and the series side divides f at lam itself.  Each
-    batch of trials (``_batches``) makes one quadrature-route call and one
-    batch of local integrals per order; each route bounds its own arrays.
+    the atom and only the angular convolution keeps it integrable.  Each
+    trial builds one unit atom, and both routes get the same (f, atom,
+    order) triples: the quadrature side integrates f against the atom,
+    the series side divides f at the atom's point.  Each batch of trials
+    (``_batches``) makes one call per route; each route bounds its own
+    arrays.
     """
     for batch in _batches(draws):
-        trials = []
+        trials, triples = [], []
         for i, rng in batch:
             n = orders[i % len(orders)]
             f = _random_polynomial(rng)
             angle = _random_angle(rng)
-            trials.append((i, n, f, angle, complex(np.exp(1j * angle))))
-        lhs = _quadrature_values([
-            (f, CircleMeasure.point_mass(cmath.phase(lam)), n)
-            for _, n, f, _, lam in trials
-        ], spec)
-        rhs = [None] * len(trials)
-        for n in dict.fromkeys(n for _, n, _, _, _ in trials):
-            columns = [c for c, (_, m, _, _, _) in enumerate(trials) if m == n]
-            local = _local_integrals([trials[c][2] for c in columns],
-                                     [trials[c][4] for c in columns], n)
-            for c, value in zip(columns, local):
-                rhs[c] = value
-        for (i, n, f, angle, _), (value, *_), expected in zip(trials, lhs, rhs):
+            trials.append((i, n, f, angle))
+            triples.append((f, CircleMeasure.point_mass(angle), n))
+        lhs = _quadrature_values(triples, spec)
+        rhs = _exact_values(triples)
+        for (i, n, f, angle), (value, *_), (expected, _) in zip(trials, lhs, rhs):
             record = {"trial": i, "n": n, "degree": f.degree, "atom_angle": angle}
             # a chosen tolerance replaces the order-1 one as well
             loose = 1e-3 if n == 1 and not rec.overridden else None
@@ -368,8 +356,9 @@ def run_tmap(rec: _Recorder, draws, orders, spec) -> None:
 
     The Bergman-side energy is quadrature over the disc; the source-side
     norm is the order-(n-1) coefficient series of f, drawn from the space
-    with vanishing coefficients below n-1.  Each batch of trials
-    (``_batches``) makes one call per route.
+    with vanishing coefficients below n-1.  The root lam of (z - lam) f is
+    the point of the unit atom it is integrated against.  Each batch of
+    trials (``_batches``) makes one call per route.
     """
     arc = CircleMeasure.arc_length()
     for batch in _batches(draws):
@@ -377,14 +366,15 @@ def run_tmap(rec: _Recorder, draws, orders, spec) -> None:
         for i, rng in batch:
             n = orders[i % len(orders)]
             f = _random_polynomial(rng, zero_below=n - 1)
-            trials.append((i, n, f, _random_angle(rng)))
+            angle = _random_angle(rng)
+            trials.append((i, n, f, angle, CircleMeasure.point_mass(angle)))
         # the quadrature route differentiates (z - lam) f: the lift of f
         lhs = _quadrature_values([
-            (times_linear(f, np.exp(1j * angle)), CircleMeasure.point_mass(angle), n)
-            for _, n, f, angle in trials
+            (times_linear(f, measure.atoms[0].point), measure, n)
+            for _, n, f, _, measure in trials
         ], spec)
-        rhs = _exact_values([(f, arc, n - 1) for _, n, f, _ in trials])
-        for (i, n, f, angle), (value, *_), (expected, _) in zip(trials, lhs, rhs):
+        rhs = _exact_values([(f, arc, n - 1) for _, n, f, _, _ in trials])
+        for (i, n, f, angle, _), (value, *_), (expected, _) in zip(trials, lhs, rhs):
             record = {"trial": i, "n": n, "degree": f.degree, "atom_angle": angle}
             rec.equality(record, value, expected)
 

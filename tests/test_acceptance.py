@@ -8,12 +8,14 @@ order-(n-1) seminorm admits explicit counterexamples for orders n >= 2
 not what the suite certifies.
 """
 
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
+import dirikit
 from dirikit import QuadratureSpec, integrate_disc
 from dirikit.suites import (
     run_atomic,
@@ -33,6 +35,10 @@ SEED = 2026
 #: Pinned report of ``verify all --seed 42``.  Criterion 12 also holds a
 #: fresh report to these bytes, so a change that moves any number shows.
 GOLDEN_REPORT = Path(__file__).parent / "data" / "verify-all-seed42.json"
+#: The child process imports the package the tests import, installed or not.
+CHILD_PATH = os.pathsep.join(
+    filter(None, [str(Path(dirikit.__file__).parents[1]), os.environ.get("PYTHONPATH")])
+)
 
 
 def _report(number: int, name: str, ok: bool, detail: str) -> None:
@@ -165,6 +171,7 @@ def test_criterion_12_report_determinism(tmp_path):
             ],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": CHILD_PATH},
         )
         codes.append(result.returncode)
         outputs.append(out.read_bytes())

@@ -244,6 +244,26 @@ def test_douglas_cube_at_minus_one():
     assert cert.residual < 1e-10
 
 
+def test_decompose_divides_and_integrates_at_one_atom():
+    # the phase of this boundary point names an atom one ulp away from
+    # it; alpha, the quotient series (rhs) and the quadrature (lhs) all
+    # belong to that atom, which the exact route divides at as well
+    point = cmath.exp(4.0j)
+    measure = CircleMeasure.point_mass(cmath.phase(point))
+    lam = measure.atoms[0].point
+    assert lam != point
+    rng = np.random.default_rng(5)
+    f = AnalyticFunction(rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    for n in (1, 2, 3):
+        cert = douglas_decompose(f, point, n)
+        ((rhs, _),) = _exact_values([(f, measure, n)])
+        assert cert.rhs.hex() == rhs.hex()
+        assert cert.alpha == boundary_value(f, lam)
+        lhs = dirichlet_weighted(f, measure, n, force_quadrature=True)
+        assert cert.lhs.hex() == lhs.value.hex()
+        assert cert.spec == lhs.spec
+
+
 def test_douglas_rejects_divergent():
     f = AnalyticFunction(tuple(10.0**k for k in range(25)), exact=False)
     with pytest.raises(BoundaryDivergenceError):
@@ -1016,8 +1036,8 @@ def test_exact_route_blocks_stay_within_the_cell_budget(monkeypatch):
     shapes = []
     block = dirichlet._coefficient_block
 
-    def spying(functions):
-        coeffs, degrees = block(functions)
+    def spying(functions, lengths):
+        coeffs, degrees = block(functions, lengths)
         shapes.append(coeffs.shape)
         return coeffs, degrees
 

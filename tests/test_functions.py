@@ -158,7 +158,7 @@ def test_divide_by_roots_columns_are_one_root_divisions():
         AnalyticFunction((0.5, -1j, 2.0, 0.25 + 1j)),
     ]
     lams = np.exp(1j * np.array([0.3, 2.0, -1.4, 0.3, 2.0]))
-    coeffs, degrees = _coefficient_block(fs)
+    coeffs, degrees = _coefficient_block(fs, [len(f.coeffs) for f in fs])
     alphas = np.array([evaluate(f, lam) for f, lam in zip(fs, lams)])
     quotients, residues = _divide_by_roots(coeffs, degrees, lams, alphas, True)
     assert quotients.shape == (3, 5)
@@ -169,13 +169,13 @@ def test_divide_by_roots_columns_are_one_root_divisions():
         assert np.array_equal(quotients[:, j], np.pad(g.coeffs, (0, 3 - g.degree - 1)))
         assert residues[j] == residue
     # a block of constants has the zero quotient at every root
-    coeffs, degrees = _coefficient_block([AnalyticFunction((3.0,))] * 3)
+    coeffs, degrees = _coefficient_block([AnalyticFunction((3.0,))] * 3, [1] * 3)
     quotients, _ = _divide_by_roots(coeffs, degrees, lams[:3], np.full(3, 3.0), True)
     assert quotients.tolist() == [[0j, 0j, 0j]]
 
 
 def test_divide_by_roots_names_the_root_it_cannot_divide_by():
-    coeffs, degrees = _coefficient_block([AnalyticFunction((0, 0, 1.0))] * 3)
+    coeffs, degrees = _coefficient_block([AnalyticFunction((0, 0, 1.0))] * 3, [3] * 3)
     lams = np.array([1.0, -1.0, 1j])
     with pytest.raises(InexactDivisionError, match=r"remainder 5\.000e-01 at lam=\(-1"):
         _divide_by_roots(coeffs, degrees, lams, np.array([1.0, 0.5, -1.0]), True)

@@ -295,4 +295,4 @@ def test_atom_pair_matrix_matches_the_row_by_row_basis():
                 dtype=float,
             )
             expected = (basis * weights) @ basis.conj().T
-            assert np.array_equal(_atom_pair_matrix(angle, order, degree), expected)
+            assert np.array_equal(_atom_pair_matrix(lam, order, degree), expected)

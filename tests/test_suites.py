@@ -183,9 +183,9 @@ def test_quadrature_suites_leave_the_grid_to_each_integral(monkeypatch):
     [("dilation", None), ("multiplier", None), ("isometry", None),
      ("shiftineq", None), ("vsubspace", None), ("douglas", None),
      ("douglas", QuadratureSpec(32, 64)), ("tmap", None),
-     ("tmap", QuadratureSpec(32, 64))],
+     ("tmap", QuadratureSpec(32, 64)), ("monomial", None)],
     ids=["dilation", "multiplier", "isometry", "shiftineq", "vsubspace",
-         "douglas", "douglas-32,64", "tmap", "tmap-32,64"],
+         "douglas", "douglas-32,64", "tmap", "tmap-32,64", "monomial"],
 )
 def test_trial_batches_do_not_move_a_trial(name, spec, monkeypatch):
     # trial i is seeded by (seed, i) alone: a run of T trials lists the
@@ -207,3 +207,37 @@ def test_trial_batches_do_not_move_a_trial(name, spec, monkeypatch):
     for trials in (0, 1, batch + 1):
         head = [f for f in longer if f["record"]["trial"] < trials]
         assert trial_failures(trials) == head
+
+
+def test_douglas_hands_both_routes_the_same_triples(monkeypatch):
+    # each batch builds its (f, unit atom, order) triples once and passes
+    # the same ones to both routes, one call each; the suite divides by
+    # no point of its own
+    calls = {"_quadrature_values": [], "_exact_values": []}
+
+    def spy(name):
+        real = getattr(dirikit.suites, name)
+
+        def spying(triples, *rest):
+            calls[name].append(triples)
+            return real(triples, *rest)
+
+        monkeypatch.setattr(dirikit.suites, name, spying)
+
+    def forbidden(*args):
+        raise AssertionError("douglas computed local integrals of its own")
+
+    for name in calls:
+        spy(name)
+    monkeypatch.setattr(dirikit.suites, "_local_integrals", forbidden)
+    monkeypatch.setattr(dirikit.suites, "_TRIAL_BATCH", 7)
+    assert run_douglas(trials=17, seed=4).passed
+    quadrature, exact = calls.values()
+    assert [len(triples) for triples in quadrature] == [7, 7, 3]
+    assert len(exact) == 3
+    for mine, theirs in zip(quadrature, exact):
+        assert len(mine) == len(theirs)
+        assert all(a is b for a, b in zip(mine, theirs))
+        for _, measure, _ in mine:
+            assert measure.lebesgue == 0.0
+            assert [atom.mass for atom in measure.atoms] == [1.0]
