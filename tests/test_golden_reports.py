@@ -23,6 +23,10 @@ DATA = Path(__file__).parent / "data"
 F12 = str(DATA / "golden-f12.json")
 MEASURE = str(DATA / "golden-measure.json")
 TUPLE3 = str(DATA / "golden-tuple3.json")
+F16 = str(DATA / "golden-f16.json")
+MEASURE8 = str(DATA / "golden-measure8.json")
+TRUNCATION60 = str(DATA / "golden-truncation60.json")
+MEASURE2 = str(DATA / "golden-measure2.json")
 
 CASES = {
     "golden-gram-deg24.csv": ["gram", "--measures", TUPLE3, "--degree", "24"],
@@ -34,6 +38,20 @@ CASES = {
     ],
     "golden-eval-quadrature.json": [
         "eval", "--function", F12, "--measure", MEASURE, "--n", "2",
+        "--force-quadrature",
+    ],
+    # eight atoms plus arc length on the degree-16 grids, as quad-atoms runs
+    "golden-eval-quadrature-f16-n1.json": [
+        "eval", "--function", F16, "--measure", MEASURE8, "--n", "1",
+        "--force-quadrature",
+    ],
+    "golden-eval-quadrature-f16-n4.json": [
+        "eval", "--function", F16, "--measure", MEASURE8, "--n", "4",
+        "--force-quadrature",
+    ],
+    # a truncation takes the default grid
+    "golden-eval-quadrature-truncation60.json": [
+        "eval", "--function", TRUNCATION60, "--measure", MEASURE2, "--n", "2",
         "--force-quadrature",
     ],
     "golden-decompose.json": [
