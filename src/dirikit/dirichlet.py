@@ -256,11 +256,11 @@ def _quadrature_values(triples, spec: QuadratureSpec | None = None) -> list[
     estimates and its grid, which :meth:`QuadratureSpec.choose` picks from
     ``spec``, the degree of f and the order.  The triples of one order
     and grid share one Horner pass over the coefficient block of their
-    ``f^(n)`` per grid (in ``quadrature._runs`` of nodes times columns),
-    one angular mean and one FFT over the stacked ``|f^(n)|^2``; each part
-    then costs one contraction.  Every triple gets the floats of its own
-    ``poisson_weighted_energy`` call, and the first failing triple raises
-    what it raises alone.
+    ``f^(n)`` per grid (in ``quadrature._runs`` of nodes times columns)
+    and one contraction of the stacked ``|f^(n)|^2`` against all their
+    parts.  Every triple gets the floats of its own
+    ``poisson_weighted_energy`` call, and a batch with a failing triple
+    raises what a failing triple raises alone.
     """
     groups = {}
     for t, (f, _, order) in enumerate(triples):

@@ -15,13 +15,14 @@ only the smooth |h|^2 factor, take its angular Fourier coefficients, and
 convolve with the Poisson kernel's known coefficients r^|d|.  The angular
 step is then exact for band-limited integrands and the radial profile is
 smooth on the whole of [0, 1]; no clipping is needed.  The samples do not
-depend on the atom, so a whole measure costs one sampling per grid and
-one contraction per atom.  ``_poisson_energies`` runs it on stacked
-samplings of many functions: one check of the samples (``_checked_squares``),
-then one angular mean and one FFT over the stack and one contraction per
-part (``_poisson_contractions``).  ``dirichlet._quadrature_values`` samples
-the stack by Horner's rule; ``poisson_weighted_energy`` is the front for a
-black-box h, one sampling per grid.
+depend on the atom, so a whole measure costs one sampling per grid.
+``_poisson_energies`` runs it on stacked samplings of many functions: one
+check of the samples (``_checked_squares``), then one contraction of the
+stack (``_poisson_contractions``): one angular sum and one FFT over the
+stack, one phase product and angular sum per run of atoms, and one radial
+sum over every part.  ``dirichlet._quadrature_values`` samples the stack
+by Horner's rule; ``poisson_weighted_energy`` is the front for a black-box
+h, one sampling per grid.
 """
 
 from __future__ import annotations
@@ -220,8 +221,9 @@ def integrate_disc(
     return value, estimate
 
 
-#: Cells of one batched step, grid nodes times samplings or coefficient
-#: rows times columns: it bounds the memory of a batch, not its floats.
+#: Cells of one batched step: grid nodes times samplings, grid nodes times
+#: atoms in a contraction, or coefficient rows times columns.  It bounds
+#: the memory of a batch, not its floats.
 _CELL_BUDGET = 96 * 256
 
 
@@ -257,9 +259,11 @@ def _checked_squares(samples: np.ndarray, z: np.ndarray) -> np.ndarray:
     as if each sampling were checked alone.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        squares = np.abs(samples) ** 2
-    # a square is finite exactly when its sample is and it does not overflow
-    if not np.isfinite(squares).all():
+        squares = np.abs(samples)
+        np.square(squares, out=squares)  # the floats of ** 2, in place
+    # a square is finite exactly when its sample is and it does not
+    # overflow; the max of the squares is NaN or inf exactly when one is not
+    if not squares.max() < np.inf:
         for values, square in zip(samples, squares):
             _check_finite(values, z)
             overflow = np.isinf(square)
@@ -271,6 +275,13 @@ def _checked_squares(samples: np.ndarray, z: np.ndarray) -> np.ndarray:
     return squares
 
 
+def _factorial_norm(order: int) -> float | int:
+    """n! (n-1)! as a float where the float is exact (orders up to 14),
+    else as an int, which leaves the float range from order 99 on."""
+    norm = math.factorial(order) * math.factorial(order - 1)
+    return float(norm) if norm.bit_length() < 1024 and float(norm) == norm else norm
+
+
 def _poisson_contractions(
     squares: np.ndarray, order: int, measures
 ) -> list[list[float]]:
@@ -278,34 +289,64 @@ def _poisson_contractions(
 
     ``squares[j]`` is sampled on the nodes of the ``(radial, angular)``
     grid of its shape and integrated against each part of ``measures[j]``,
-    arc length first.  One angular mean and one FFT run over the whole
-    stack; each part then costs one contraction.  Every sampling gets the
-    floats it would get alone.
+    arc length first.  One angular sum and one FFT run over the whole
+    stack.  The atoms of all samplings then go in :func:`_runs` of at
+    most ``_CELL_BUDGET`` nodes times atoms, each with one phase table, one
+    product and one angular sum, and one radial sum takes every part.
+    Every sampling gets the floats it would get alone.  A part whose sum
+    leaves the float range raises ``OverflowError``.
     """
     radial, angular = squares.shape[-2:]
     r, wr, _, freqs, kernel = _poisson_grid(radial, angular)
-    if any(measure.lebesgue > 0 for measure in measures):
-        means = squares.mean(axis=-1)
-    if any(measure.atoms for measure in measures):
-        # exact angular integral of squares * Poisson: convolve the sampled
-        # Fourier coefficients with the kernel coefficients r^|d| e^(i d a)
-        smoothed = np.fft.fft(squares, axis=-1) / angular * kernel
-    weight = (1.0 - r**2) ** (order - 1)
-    # Divide exactly: n! (n-1)! overflows a float from order 99 on.
-    norm = math.factorial(order) * math.factorial(order - 1)
-    energies = []
-    for j, measure in enumerate(measures):
-        profiles = [means[j]] if measure.lebesgue > 0 else []
-        profiles += [
-            (smoothed[j] * np.exp(1j * freqs * atom.angle)).sum(axis=1).real
-            for atom in measure.atoms
-        ]
-        # the integrand |h|^2 * weight is non-negative; clip roundoff dust
-        energies.append([
-            float(Fraction(max(float(np.sum(wr * profile * weight)), 0.0)) / norm)
-            for profile in profiles
-        ])
-    return energies
+    arcs = [j for j, measure in enumerate(measures) if measure.lebesgue > 0]
+    owners = [j for j, measure in enumerate(measures) for _ in measure.atoms]
+    profiles = [np.empty((0, radial))]  # a measure may have no part
+    # finite squares may still overflow a sum, which the check below names
+    with np.errstate(over="ignore", invalid="ignore"):
+        if arcs:
+            # the floats of squares.mean(axis=-1)
+            profiles.append(squares.sum(axis=-1)[arcs] / angular)
+        if owners:
+            # exact angular integral of squares * Poisson: convolve the sampled
+            # Fourier coefficients with the kernel coefficients r^|d| e^(i d a)
+            smoothed = np.fft.fft(squares, axis=-1)
+            # numpy's complex `/ angular` multiplies each part by 1.0 / angular
+            # after adding a signed zero to it: this product gives the same
+            # floats but for the sign of a zero, which no energy keeps, as a
+            # zero sum is clipped to +0.0
+            smoothed *= 1.0 / angular
+            smoothed *= kernel
+            angles = np.array([atom.angle for measure in measures
+                               for atom in measure.atoms])
+            for run in _runs(len(owners), radial * angular):
+                # the atoms of one sampling broadcast its rows; others gather
+                run_owners = owners[run]
+                rows = (smoothed[run_owners[0]] if run_owners[0] == run_owners[-1]
+                        else smoothed[run_owners])
+                phases = np.exp(1j * freqs * angles[run, None])[:, None, :]
+                profiles.append((rows * phases).sum(axis=-1).real)
+        weight = (1.0 - r**2) ** (order - 1)
+        sums = (wr * np.concatenate(profiles) * weight).sum(axis=-1)
+    if not np.isfinite(sums).all():
+        raise OverflowError(
+            f"overflow: the order-{order} energy on the {radial}x{angular} "
+            "grid exceeds the float range"
+        )
+    # the integrand |h|^2 * weight is non-negative; clip roundoff dust and
+    # -0.0 to +0.0, then divide with one rounding
+    sums = np.where(sums > 0.0, sums, 0.0)
+    norm = _factorial_norm(order)
+    if isinstance(norm, float):
+        values = (sums / norm).tolist()
+    else:
+        values = [float(Fraction(x) / norm) for x in sums.tolist()]
+    arc_values = iter(values[:len(arcs)])
+    atom_values = iter(values[len(arcs):])
+    return [
+        ([next(arc_values)] if measure.lebesgue > 0 else [])
+        + [next(atom_values) for _ in measure.atoms]
+        for measure in measures
+    ]
 
 
 def _poisson_energies(
@@ -354,10 +395,11 @@ def poisson_weighted_energy(
     Returns one (value, error estimate) pair per part, each at unit mass:
     the arc-length part first if it has mass, then the atoms in measure
     order.  :meth:`CircleMeasure.weigh` adds them up to the integral
-    against the whole measure.  Each of the two grids is sampled once for
-    all parts; every atom then costs one contraction of the smoothed
-    Fourier coefficients.  This is the black-box front of the contraction
-    that ``dirichlet._quadrature_values`` runs on stacked samplings.
+    against the whole measure.  Each of the two grids is sampled once and
+    contracted against all parts at once.  This is the black-box front of
+    the contraction that ``dirichlet._quadrature_values`` runs on stacked
+    samplings.  A part whose sum leaves the float range raises
+    ``OverflowError`` naming the order and the grid.
 
     The rule is exact for a polynomial h of degree D on a grid with
     ``angular >= 2 D + 1`` and ``radial >= D + order``.  Angularly, |h|^2

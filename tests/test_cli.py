@@ -509,6 +509,12 @@ BEYOND = '{"coeffs": [[1.7e308, 0], [1.7e308, 0]]}'
         ("eval", {"function": HUGE, "measure": ATOM},
          ["--n", "1", "--force-quadrature"],
          "error: overflow: |h|^2 exceeds the float range at node "),
+        # each square of f' = 1e153 (1 + 2z + 3z^2) is finite, their sums are not
+        ("eval", {"function": '{"coeffs": [[1e153, 0], [1e153, 0], [1e153, 0], '
+                              '[1e153, 0]]}', "measure": ATOM},
+         ["--n", "1", "--force-quadrature"],
+         "error: overflow: the order-1 energy on the 8x16 grid exceeds the float "
+         "range\n"),
         # f(lam) itself overflows, on the exact route of both commands
         ("eval", {"function": BEYOND, "measure": ATOM}, ["--n", "1"],
          "error: the value of f at lam=1.000000+0.000000j exceeds the float range\n"),
@@ -529,7 +535,7 @@ BEYOND = '{"coeffs": [[1.7e308, 0], [1.7e308, 0]]}'
         ("decompose", {"function": BEYOND}, ["--atom", "inf", "--n", "1"],
          "error: boundary point must lie on the unit circle\n"),
     ],
-    ids=["eval-exact", "defects", "eval-quadrature", "eval-beyond", "eval-beyond-two-atoms",
+    ids=["eval-exact", "defects", "eval-quadrature", "eval-quadrature-sums", "eval-beyond", "eval-beyond-two-atoms",
          "decompose-beyond", "decompose-beyond-truncation", "decompose-nan", "decompose-inf"],
 )
 def test_an_overflowing_square_is_named_without_a_warning(command, files, extra, message):

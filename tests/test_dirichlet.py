@@ -724,6 +724,34 @@ def test_quadrature_integral_adds_the_one_part_energies_in_order():
             total += atom.mass * value
         result = dirichlet_weighted(truncated, measure, n, spec)
         assert result.value.hex() == total.hex()
+    # every part is the float of its own one-part call: 200 atoms on a grid
+    # whose runs hold 192, at orders whose norm n! (n-1)! is a float (14),
+    # not exactly one (15) and beyond the float range (100), and a zero f^(n)
+    small = QuadratureSpec(8, 16)
+    many = CircleMeasure(
+        tuple(Atom(a, 1.0) for a in rng.uniform(0.0, 2.0 * math.pi, 200)), 0.7
+    )
+    scale = [1e100 / math.factorial(k) for k in range(101)]
+    wide = AnalyticFunction(tuple(
+        s * complex(a, b)
+        for s, a, b in zip(scale, rng.uniform(-1, 1, 101), rng.uniform(-1, 1, 101))
+    ))
+    zero_derivative = (AnalyticFunction((2.0, -1.0j)), 2)
+    for f, n in ((wide, 14), (wide, 15), (wide, 100), zero_derivative):
+        df = derivative(f, n)
+        alone = [poisson_weighted_energy(lambda z: evaluate(df, z), n, small)]
+        alone += [
+            poisson_weighted_energy(
+                lambda z: evaluate(df, z), n, small, CircleMeasure.point_mass(atom.angle)
+            )
+            for atom in many.atoms
+        ]
+        result = dirichlet_weighted(f, many, n, small, force_quadrature=True)
+        assert [part.hex() for part in result.parts] == [
+            value.hex() for [(value, _)] in alone
+        ]
+        if f.degree < n:
+            assert {part.hex() for part in result.parts} == {"0x0.0p+0"}
 
 
 def _count_horner_passes(monkeypatch):
@@ -858,6 +886,8 @@ def test_quadrature_batch_raises_what_the_failing_triple_raises():
         (AnalyticFunction((1e200, 1e200, 1.0)), OverflowError),
         # f' = 1.7e308 (1 + z) overflows near z = 1: a non-finite sample
         (AnalyticFunction((0.0, 1.7e308, 0.85e308)), SingularIntegrandError),
+        # f' = 1e153 (1 + 2z + 3z^2): finite squares whose angular sums overflow
+        (AnalyticFunction((1e153,) * 4), OverflowError),
     ]
     for f, error in failing:
         for spec in (None, QuadratureSpec(32, 64)):
