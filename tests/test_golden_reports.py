@@ -9,8 +9,9 @@ each observed and expected value; they exit 1.  So do the ``szego`` and
 ``monomial`` cases, which pin every value those suites compute, and the
 ``dilation``, ``multiplier``, ``isometry``, ``vsubspace`` and
 ``shiftineq`` cases, which pin every value of their exact-route
-integrals, and the ``kernel`` case, which pins the gap of every closed-form
-kernel value from its exact series and of every reproducing check.
+integrals, and the ``kernel`` cases, which pin the gap of every closed-form
+kernel value from its exact series and of every reproducing check, at the
+default orders and at orders 60, 91 and 95.
 """
 
 from pathlib import Path
@@ -88,6 +89,15 @@ CASES = {
     "golden-verify-kernel.json": [
         "verify", "kernel", "--trials", "5", "--seed", "3", "--tol", "-1",
     ],
+    # series of up to 455 terms; order 95's closed form overflows on the
+    # grid's diagonal, so its report carries "inf" and "nan" gaps
+    **{
+        f"golden-verify-kernel-n{n}.json": [
+            "verify", "kernel", "--n", str(n), "--trials", "2", "--seed", "3",
+            "--tol", "-1",
+        ]
+        for n in (60, 91, 95)
+    },
 }
 #: Cases whose reports list failures on purpose.
 EXIT = {
@@ -101,6 +111,9 @@ EXIT = {
     "golden-verify-vsubspace.json": 1,
     "golden-verify-shiftineq.json": 1,
     "golden-verify-kernel.json": 1,
+    "golden-verify-kernel-n60.json": 1,
+    "golden-verify-kernel-n91.json": 1,
+    "golden-verify-kernel-n95.json": 1,
 }
 
 
