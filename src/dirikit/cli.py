@@ -263,6 +263,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # argparse hands [] to an option written --opt=--
+        if isinstance(value, list):
+            option = "--" + name.replace("_", "-")
+            print(f"error: argument {option}: expected one argument", file=sys.stderr)
+            return 2
     try:
         return args.handler(args)
     # bad input, or a computation that input makes fail, overflow or

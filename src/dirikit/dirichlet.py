@@ -433,53 +433,47 @@ def local_bergman_kernel(
     return scale * numerator / (1.0 - z * w.conjugate()) ** (order + 2)
 
 
-def _exact_power_series(coeffs: list[int], x: complex) -> complex:
-    """The sum of ``coeffs[k] * x**k`` over K >= 1 terms, rounded once.
+def _gaussian_power(re: int, im: int, k: int) -> tuple[int, int]:
+    """(re + i im)^k for a Gaussian integer and k >= 0, by repeated squaring."""
+    pr, pi = 1, 0
+    while True:
+        if k & 1:
+            pr, pi = pr * re - pi * im, pr * im + pi * re
+        k >>= 1
+        if not k:
+            return pr, pi
+        re, im = (re + im) * (re - im), 2 * re * im
 
-    With x = u / d, u = p + iq a Gaussian integer and d = 2^e, the sum
-    times d^(K-1) is the Gaussian integer N = sum_k c_k u^k d^(K-1-k).
-    N is built by binary splitting: runs of terms are summed by Horner's
-    rule, and two adjacent runs, the left one of length L and the right
-    one of length R, combine as N_left d^R + u^L N_right, a shift and one
-    Gaussian product.  Every left run has the same length at a level, so
-    u^L comes from squaring u^L of the level below.
+
+def _negative_binomial_sum(m: int, terms: int, x: complex) -> complex:
+    """sum_{k<K} binom(m-1+k, k) x^k for K = ``terms`` >= 1, rounded once.
+
+    This partial sum S_K of (1 - x)^-m satisfies the polynomial identity
+    (1 - x)^m S_K = 1 - x^K sum_{j<m} binom(K-1+j, j) (1 - x)^j.  With
+    x = u / d, u a Gaussian integer, d = 2^e and v = d - u, it makes
+    S_K = N / (d^(K-1) v^m), where the Gaussian integer
+    N = d^(K+m-1) - u^K sum_j binom(K-1+j, j) v^j d^(m-1-j).  Times
+    conj(v^m) over |v^m|^2 the denominator is a positive integer, and
+    int / int rounds each part of the exact rational once.  At x = 1,
+    where v = 0, the sum is binom(m-1+K, K-1).
     """
     (p, a), (q, b) = x.real.as_integer_ratio(), x.imag.as_integer_ratio()
     d = max(a, b)  # both are powers of two
     e = d.bit_length() - 1
     p, q = p * (d // a), q * (d // b)
-    leaf = 8
-    runs = []  # (re N, im N, length) of each run, left to right
-    for start in range(0, len(coeffs), leaf):
-        run = coeffs[start:start + leaf]
-        re = im = 0
-        scale = 1
-        for c in reversed(run):
-            re, im = re * p - im * q + c * scale, re * q + im * p
-            scale <<= e
-        runs.append((re, im, len(run)))
-    # u^leaf, the power that moves a full left run past its right neighbour
-    pr, pi = 1, 0
-    for _ in range(leaf):
-        pr, pi = pr * p - pi * q, pr * q + pi * p
-    while len(runs) > 1:
-        merged = []
-        for (r1, i1, n1), (r2, i2, n2) in zip(runs[::2], runs[1::2]):
-            # u^L N_right in three products: (a + ib)(c + id) has real
-            # part ac - bd and imaginary part (a + b)(c + d) - ac - bd
-            ac, bd = pr * r2, pi * i2
-            merged.append((
-                (r1 << e * n2) + ac - bd,
-                (i1 << e * n2) + (pr + pi) * (r2 + i2) - ac - bd,
-                n1 + n2,
-            ))
-        runs = merged + runs[len(merged) * 2:]
-        if len(runs) > 1:
-            pr, pi = (pr + pi) * (pr - pi), 2 * pr * pi
-    ((re, im, _),) = runs
-    scale = 1 << e * (len(coeffs) - 1)
-    # int / int is correctly rounded
-    return complex(re / scale, im / scale)
+    if (p, q) == (d, 0):
+        return complex(math.comb(m - 1 + terms, terms - 1))
+    vr, vi = d - p, -q
+    tr = ti = 0  # sum_j binom(K-1+j, j) v^j d^(m-1-j), by Horner's rule
+    for j in reversed(range(m)):
+        c = math.comb(terms - 1 + j, j) << e * (m - 1 - j)
+        tr, ti = tr * vr - ti * vi + c, tr * vi + ti * vr
+    ur, ui = _gaussian_power(p, q, terms)
+    nr = (1 << e * (terms + m - 1)) - (ur * tr - ui * ti)
+    ni = -(ur * ti + ui * tr)
+    er, ei = _gaussian_power(vr, vi, m)
+    den = (er * er + ei * ei) << e * (terms - 1)
+    return complex((nr * er + ni * ei) / den, (ni * er - nr * ei) / den)
 
 
 def local_bergman_kernel_series(
@@ -493,16 +487,18 @@ def local_bergman_kernel_series(
     For complex x = z conj(w) the terms reach (1 - |x|)^-(n+2) in size
     while their sum is |1 - x|^-(n+2), so a floating-point sum can lose
     every digit: at n = 90 and x = 0.294 e^(-2.51i) the terms reach 4e12
-    and the sum is 1.2e-9.  The sum is therefore taken exactly, in
-    Gaussian integers over the dyadic denominator of x, and rounded once.
+    and the sum is 1.2e-9.  The sum is therefore taken exactly, from its
+    closed form with n + 2 terms in Gaussian integers over the dyadic
+    denominator of x (``_negative_binomial_sum``), and rounded once.
     ``terms`` must be at least 1.
     """
     if terms < 1:
         raise ValueError(f"the kernel series needs at least one term, got {terms}")
     z, w, lam = complex(z), complex(w), complex(boundary_point)
-    coeffs = [math.comb(order + k + 1, k) for k in range(terms)]
-    series = _exact_power_series(coeffs, z * w.conjugate())
+    # before the sum, so an order below 1 raises instead of reaching a
+    # negative power there
     scale = math.factorial(order) * math.factorial(order - 1) * (order + 1)
+    series = _negative_binomial_sum(order + 2, terms, z * w.conjugate())
     return scale * (z - lam) * (w.conjugate() - lam.conjugate()) * series
 
 

@@ -9,7 +9,6 @@ from exact coefficient combinatorics; no quadrature enters this module.
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass
 
@@ -18,8 +17,6 @@ import numpy as np
 from .dirichlet import _binomial_row, _exact_values
 from .functions import AnalyticFunction, multiply
 from .measures import CircleMeasure, MeasureTuple
-
-logger = logging.getLogger(__name__)
 
 #: Below this, a defect or an order-zero integral counts as vanishing.
 VANISHING_TOLERANCE = 1e-9
@@ -222,12 +219,5 @@ def _defect_kernel_checks(items) -> list[DefectKernelCheck]:
         consistent = (defect2 <= VANISHING_TOLERANCE) == (
             order_zero <= VANISHING_TOLERANCE
         )
-        if consistent and abs(defect2 - order_zero) <= VANISHING_TOLERANCE:
-            # numeric equality of the two quantities is an observation, not
-            # an identity this package asserts
-            logger.debug(
-                "defect2 and order-zero integral agree numerically: %.3e",
-                defect2,
-            )
         checks.append(DefectKernelCheck(defect2, order_zero, consistent))
     return checks

@@ -8,10 +8,10 @@ import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dirikit.cli import main
+from dirikit.cli import build_parser, main
 
 
 @pytest.fixture
@@ -594,6 +594,7 @@ def test_any_function_and_tuple_file_ends_in_a_defect_report_or_an_error(
 
 
 @given(json_values | st.just({"coeffs": [[0, 0], [0, 0], [1, 0]]}), quad_texts)
+@example(function={"coeffs": [[0, 0], [0, 0], [1, 0]]}, quad="--")
 @settings(max_examples=60, deadline=None)
 def test_any_function_file_and_quad_text_end_in_a_certificate_or_an_error(
     function, quad
@@ -603,3 +604,36 @@ def test_any_function_file_and_quad_text_end_in_a_certificate_or_an_error(
         "decompose", {"function": json.dumps(function)},
         "--atom", "0.5", "--n", "1", f"--quad={quad}",
     ))
+
+
+def _value_options():
+    """(command, option) for every option of every subcommand that takes
+    a value."""
+    (commands,) = (
+        action.choices for action in build_parser()._actions
+        if isinstance(action.choices, dict)
+    )
+    return [
+        (command, option)
+        for command, parser in commands.items()
+        for action in parser._actions if action.nargs != 0
+        for option in action.option_strings if option.startswith("--")
+    ]
+
+
+@pytest.mark.parametrize("command,option", _value_options())
+def test_an_option_written_with_a_double_dash_value_exits_two(
+    command, option, square_file, atom_file, tuple_file, capsys
+):
+    # argparse hands [] to --opt=--; a full command line first, so only
+    # that option is at fault
+    complete = {
+        "eval": ["--function", square_file, "--measure", atom_file, "--n", "1"],
+        "decompose": ["--function", square_file, "--atom", "0.5", "--n", "1"],
+        "gram": ["--measures", tuple_file, "--degree", "2"],
+        "defects": ["--function", square_file, "--measures", tuple_file],
+        "verify": ["kernel", "--trials", "1"],
+    }
+    assert main([command] + complete[command] + [f"{option}=--"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: argument {option}: expected one argument\n"

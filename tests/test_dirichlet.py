@@ -39,10 +39,10 @@ from dirikit import (
 )
 from dirikit import dirichlet, quadrature
 from dirikit.dirichlet import (
-    _exact_power_series,
     _exact_values,
     _local_integrals,
     _multiplication_section,
+    _negative_binomial_sum,
     _quadrature_values,
 )
 from dirikit.functions import InexactDivisionError, divide_by_root, times_linear
@@ -379,21 +379,25 @@ def _horner_power_series(coeffs, x):
     return complex(re / scale, im / scale)
 
 
-def test_exact_power_series_rounds_once():
-    assert _exact_power_series([1, 2, 3], 0.5 + 0.25j) == 2.5625 + 1.25j
-    # oracle: the same polynomial in exact rationals, rounded once
-    p, q = Fraction(0.1), Fraction(-0.3)
-    re = 1 + 2 * p + 3 * (p * p - q * q)
-    im = 2 * q + 6 * p * q
-    assert _exact_power_series([1, 2, 3], 0.1 - 0.3j) == complex(float(re), float(im))
-    # binary splitting sums the same Gaussian integer as Horner's rule
+def test_negative_binomial_sum_rounds_once():
+    # oracle: 1 + 3x + 6x^2 (order 1, three terms) in exact rationals,
+    # rounded once
+    for x in (0.5 + 0.25j, 0.1 - 0.3j):
+        p, q = Fraction(x.real), Fraction(x.imag)
+        re = 1 + 3 * p + 6 * (p * p - q * q)
+        im = 3 * q + 12 * p * q
+        assert _negative_binomial_sum(3, 3, x) == complex(float(re), float(im))
+    # the closed form sums the same exact rational as Horner's rule over
+    # every coefficient, signed zeros, |x| = 0.99 and x = 1 included
     xs = [0j, 0.37 + 0j, -0.29j, 0.21 - 0.33j, 0.4 + 1e-20j, 3e-25 - 0.3j,
-          0.294 * cmath.exp(-2.51j)]
-    for terms in (1, 2, 17, 200, 451):
-        for order in (1, 3, 90):
+          0.294 * cmath.exp(-2.51j), complex(-0.0, 0.0), complex(0.0, -0.0),
+          complex(-0.0, -0.0), complex(0.5, -0.0), complex(-0.0, 0.7), 0.99 + 0j,
+          0.99 * cmath.exp(2.2j), 1 + 0j]
+    for terms in (1, 2, 17, 200, 451, 600):
+        for order in (1, 3, 90, 120):
             coeffs = [math.comb(order + k + 1, k) for k in range(terms)]
             for x in xs:
-                series = _exact_power_series(coeffs, x)
+                series = _negative_binomial_sum(order + 2, terms, x)
                 horner = _horner_power_series(coeffs, x)
                 assert (series.real.hex(), series.imag.hex()) == (
                     horner.real.hex(), horner.imag.hex()
