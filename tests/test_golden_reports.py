@@ -11,7 +11,8 @@ each observed and expected value; they exit 1.  So do the ``szego`` and
 ``shiftineq`` cases, which pin every value of their exact-route
 integrals, and the ``kernel`` cases, which pin the gap of every closed-form
 kernel value from its exact series and of every reproducing check, at the
-default orders and at orders 60, 91 and 95.
+default orders and at orders 60, 91 and 95, and the ``atomic`` case,
+which pins the residual of every decomposition round trip.
 """
 
 from pathlib import Path
@@ -86,6 +87,7 @@ CASES = {
     "golden-verify-shiftineq.json": [
         "verify", "shiftineq", "--trials", "45", "--seed", "3", "--tol", "-1",
     ],
+    "golden-verify-atomic.json": ["verify", "atomic", "--tol", "-1"],
     "golden-verify-kernel.json": [
         "verify", "kernel", "--trials", "5", "--seed", "3", "--tol", "-1",
     ],
@@ -110,6 +112,7 @@ EXIT = {
     "golden-verify-isometry.json": 1,
     "golden-verify-vsubspace.json": 1,
     "golden-verify-shiftineq.json": 1,
+    "golden-verify-atomic.json": 1,
     "golden-verify-kernel.json": 1,
     "golden-verify-kernel-n60.json": 1,
     "golden-verify-kernel-n91.json": 1,
