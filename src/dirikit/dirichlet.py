@@ -28,7 +28,6 @@ from .functions import (
     AnalyticFunction,
     _coefficient_block,
     _divide_by_roots,
-    _horner,
     _unimodular,
     _values_on_circle,
     boundary_value,
@@ -39,7 +38,7 @@ from .functions import (
 )
 from .measures import Atom, CircleMeasure
 from .measures import szego_potential as _szego_potential
-from .quadrature import QuadratureSpec, _poisson_energies, _runs
+from .quadrature import QuadratureSpec, _poisson_energies, _ring_samples, _runs
 
 
 @dataclass(frozen=True)
@@ -255,10 +254,11 @@ def _quadrature_values(triples, spec: QuadratureSpec | None = None) -> list[
     unit-mass parts of its whole measure, arc length first, their error
     estimates and its grid, which :meth:`QuadratureSpec.choose` picks from
     ``spec``, the degree of f and the order.  The triples of one order
-    and grid share one Horner pass over the coefficient block of their
-    ``f^(n)`` per grid (in ``quadrature._runs`` of nodes times columns)
-    and one contraction of the stacked ``|f^(n)|^2`` against all their
-    parts.  Every triple gets the floats of its own
+    and grid share one sampling of the coefficient block of their
+    ``f^(n)`` per grid, one inverse FFT per ring and column
+    (``quadrature._ring_samples``, in ``quadrature._runs`` of nodes times
+    columns), and one contraction of the stacked ``|f^(n)|^2`` against
+    all their parts.  Every triple gets the floats of its own
     ``poisson_weighted_energy`` call, and a batch with a failing triple
     raises what a failing triple raises alone.
     """
@@ -276,12 +276,9 @@ def _quadrature_values(triples, spec: QuadratureSpec | None = None) -> list[
 
         def sample(z, run):
             coeffs, _ = _coefficient_block(derivatives[run], lengths[run])
-            # a lone f^(n) steps with Python numbers, which numpy adds
-            # faster than the rows of a one-column block
-            rows = coeffs.tolist() if coeffs.ndim == 1 else coeffs[:, :, None, None]
             # a non-finite sample raises by name once the samples are checked
             with np.errstate(over="ignore", invalid="ignore"):
-                return _horner(rows, z).reshape(-1, *z.shape)
+                return _ring_samples(coeffs, *z.shape).reshape(-1, *z.shape)
 
         pairs = _poisson_energies(sample, order, grid, measures)
         for t, measure, part_pairs in zip(members, measures, pairs):

@@ -127,12 +127,12 @@ def evaluate(f: AnalyticFunction, z):
 def _horner(rows, zs):
     """The sum of ``rows[k] * zs**k`` by Horner's rule.
 
-    Row k is a number, or an array that broadcasts against ``zs``: one
-    entry per point, or one per stacked sampling of a disc grid.  On a
-    disc grid (``zs.ndim >= 2``) every step after the first multiplies and
-    adds in place, with the same floats.  Points keep the out-of-place
-    steps: numpy's in-place complex product on a one-element array rounds
-    like its scalar loop, not like the array product.
+    Row k is a number, or an array with one entry per point.  On a disc
+    grid (``zs.ndim >= 2``, as ``evaluate`` gets it from a black-box
+    integrand) every step after the first multiplies and adds in place,
+    with the same floats.  Points keep the out-of-place steps: numpy's
+    in-place complex product on a one-element array rounds like its
+    scalar loop, not like the array product.
     """
     acc = np.zeros_like(zs)
     steps = reversed(rows)
@@ -189,15 +189,26 @@ def _values_on_circle(coeffs, lams):
 
 
 def derivative(f: AnalyticFunction, order: int = 1) -> AnalyticFunction:
-    """Formal ``order``-th derivative; degrees below ``order`` drop out."""
+    """Formal ``order``-th derivative; degrees below ``order`` drop out.
+
+    A coefficient beyond the float range raises ``OverflowError`` naming
+    the order, with no numpy warning.
+    """
     if order < 0:
         raise ValueError("derivative order must be non-negative")
     coeffs = f.coeffs
-    for _ in range(order):
-        if len(coeffs) == 1:
-            coeffs = np.zeros(1, dtype=complex)
-            break
-        coeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    # an overflowing product is inf, and inf * 0 in a later step NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(order):
+            if len(coeffs) == 1:
+                coeffs = np.zeros(1, dtype=complex)
+                break
+            coeffs = coeffs[1:] * np.arange(1, len(coeffs))
+    if not np.isfinite(coeffs).all():
+        raise OverflowError(
+            f"overflow: the coefficients of the order-{order} derivative exceed "
+            "the float range"
+        )
     return AnalyticFunction(coeffs, f.exact)
 
 

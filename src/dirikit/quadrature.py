@@ -21,8 +21,9 @@ check of the samples (``_checked_squares``), then one contraction of the
 stack (``_poisson_contractions``): one angular sum and one FFT over the
 stack, one phase product and angular sum per run of atoms, and one radial
 sum over every part.  ``dirichlet._quadrature_values`` samples the stack
-by Horner's rule; ``poisson_weighted_energy`` is the front for a black-box
-h, one sampling per grid.
+of polynomials with one inverse FFT per ring (``_ring_samples``);
+``poisson_weighted_energy`` is the front for a black-box h, one sampling
+per grid.
 """
 
 from __future__ import annotations
@@ -248,6 +249,50 @@ def _poisson_grid(radial: int, angular: int) -> tuple[np.ndarray, ...]:
     for array in (r, wr, z, freqs, kernel):
         array.setflags(write=False)
     return r, wr, z, freqs, kernel
+
+
+def _ring_samples(coeffs: np.ndarray, radial: int, angular: int) -> np.ndarray:
+    """Polynomials sampled on the nodes of the ``(radial, angular)`` grid.
+
+    ``coeffs`` is one coefficient vector c_0..c_D, sampled into a
+    ``(radial, angular)`` array, or a block with one polynomial per column
+    (``functions._coefficient_block``), sampled into one such array per
+    column.  At the node r_i e^(2 pi i j / A) of ring i the value
+    sum_k c_k r_i^k e^(2 pi i j k / A) is the unscaled inverse DFT of the
+    ring's spectrum c_k r_i^k, with k folded modulo A where D >= A: one
+    inverse FFT per ring, O(A log A) in place of Horner's O(A D).  The
+    powers r^0..r^(A // 2) are the columns of the grid's Poisson kernel;
+    only a higher degree computes more.  Each spectrum term is two real
+    products, and the folds add in order of k, so a column of a block gets
+    the floats of its own call: a zero-padded term adds +0.0, which can
+    move only the sign of a zero.
+
+    With u the unit roundoff, S = sum_k |c_k| r_i^k on ring i and F the
+    number of folds, the spectrum is off by at most (3 + F) u S in all:
+    2u for a power from ``**``, u for its product and u for each fold sum.
+    A level of the FFT, y = a + w b, adds at most (2 sqrt(2) + 2) u (|a| +
+    |b|), a complex product and a sum, and the moduli feeding one sample
+    add up to S on every level, so over its log2 A levels a sample is off
+    by at most about (5 log2 A + 3 + F) u S.
+    """
+    block = coeffs.reshape(len(coeffs), -1).T
+    count = block.shape[1]
+    r, _, _, _, kernel = _poisson_grid(radial, angular)
+    known = min(count, angular // 2 + 1)
+    powers = kernel[:, :known]
+    if count > known:
+        powers = np.hstack([powers, r[:, None] ** np.arange(known, count)])
+    spectra = np.zeros((len(block), radial, angular), dtype=complex)
+    for start in range(0, count, angular):
+        # c_k r^k as two real products, each rounded once: numpy's complex
+        # product may round a batch differently from a lone call
+        terms = block[:, None, start:start + angular]
+        ring_powers = powers[:, start:start + angular]
+        width = ring_powers.shape[1]
+        spectra.real[..., :width] += terms.real * ring_powers
+        spectra.imag[..., :width] += terms.imag * ring_powers
+    np.fft.ifft(spectra, norm="forward", out=spectra)
+    return spectra.reshape(coeffs.shape[1:] + (radial, angular))
 
 
 def _checked_squares(samples: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -515,6 +515,12 @@ BEYOND = '{"coeffs": [[1.7e308, 0], [1.7e308, 0]]}'
          ["--n", "1", "--force-quadrature"],
          "error: overflow: the order-1 energy on the 8x16 grid exceeds the float "
          "range\n"),
+        # each coefficient is finite, but 2 * 0.9e308 in f' is not
+        ("eval", {"function": '{"coeffs": [[0, 0], [1e308, 0], [0.9e308, 0], '
+                              '[0.5e308, 0]]}', "measure": ATOM},
+         ["--n", "1", "--force-quadrature"],
+         "error: overflow: the coefficients of the order-1 derivative exceed the "
+         "float range\n"),
         # f(lam) itself overflows, on the exact route of both commands
         ("eval", {"function": BEYOND, "measure": ATOM}, ["--n", "1"],
          "error: the value of f at lam=1.000000+0.000000j exceeds the float range\n"),
@@ -535,7 +541,8 @@ BEYOND = '{"coeffs": [[1.7e308, 0], [1.7e308, 0]]}'
         ("decompose", {"function": BEYOND}, ["--atom", "inf", "--n", "1"],
          "error: boundary point must lie on the unit circle\n"),
     ],
-    ids=["eval-exact", "defects", "eval-quadrature", "eval-quadrature-sums", "eval-beyond", "eval-beyond-two-atoms",
+    ids=["eval-exact", "defects", "eval-quadrature", "eval-quadrature-sums",
+         "eval-quadrature-derivative", "eval-beyond", "eval-beyond-two-atoms",
          "decompose-beyond", "decompose-beyond-truncation", "decompose-nan", "decompose-inf"],
 )
 def test_an_overflowing_square_is_named_without_a_warning(command, files, extra, message):

@@ -46,6 +46,7 @@ from dirikit.dirichlet import (
     _quadrature_values,
 )
 from dirikit.functions import InexactDivisionError, divide_by_root, times_linear
+from dirikit.quadrature import _ring_samples
 
 
 def mono(k):
@@ -693,6 +694,11 @@ def _eight_atoms_plus_arc(rng):
     return CircleMeasure(atoms, 0.7)
 
 
+def _ring_sampler(f):
+    """The route's sampler of f as a black box for the grid of its nodes."""
+    return lambda z: _ring_samples(f.coeffs, *z.shape)
+
+
 def test_quadrature_integral_adds_the_one_part_energies_in_order():
     # the whole measure is sampled once, yet value and estimate are the
     # same floats as the mass-weighted one-part energies added in order
@@ -703,12 +709,12 @@ def test_quadrature_integral_adds_the_one_part_energies_in_order():
     for n in (1, 3):
         df = derivative(f, n)
         total = error = 0.0
-        [(value, est)] = poisson_weighted_energy(lambda z: evaluate(df, z), n, spec)
+        [(value, est)] = poisson_weighted_energy(_ring_sampler(df), n, spec)
         total += measure.lebesgue * value
         error += measure.lebesgue * est
         for atom in measure.atoms:
             [(value, est)] = poisson_weighted_energy(
-                lambda z: evaluate(df, z), n, spec,
+                _ring_sampler(df), n, spec,
                 CircleMeasure.point_mass(atom.angle),
             )
             total += atom.mass * value
@@ -722,7 +728,7 @@ def test_quadrature_integral_adds_the_one_part_energies_in_order():
         total = measure.lebesgue * dirichlet_sigma(f, n).value
         for atom in measure.atoms:
             [(value, _)] = poisson_weighted_energy(
-                lambda z: evaluate(df, z), n, spec,
+                _ring_sampler(df), n, spec,
                 CircleMeasure.point_mass(atom.angle),
             )
             total += atom.mass * value
@@ -743,10 +749,10 @@ def test_quadrature_integral_adds_the_one_part_energies_in_order():
     zero_derivative = (AnalyticFunction((2.0, -1.0j)), 2)
     for f, n in ((wide, 14), (wide, 15), (wide, 100), zero_derivative):
         df = derivative(f, n)
-        alone = [poisson_weighted_energy(lambda z: evaluate(df, z), n, small)]
+        alone = [poisson_weighted_energy(_ring_sampler(df), n, small)]
         alone += [
             poisson_weighted_energy(
-                lambda z: evaluate(df, z), n, small, CircleMeasure.point_mass(atom.angle)
+                _ring_sampler(df), n, small, CircleMeasure.point_mass(atom.angle)
             )
             for atom in many.atoms
         ]
@@ -758,24 +764,22 @@ def test_quadrature_integral_adds_the_one_part_energies_in_order():
             assert {part.hex() for part in result.parts} == {"0x0.0p+0"}
 
 
-def _count_horner_passes(monkeypatch):
-    """Record the node shape of every Horner pass of the quadrature route."""
-    import dirikit.dirichlet
-
+def _count_ring_samplings(monkeypatch):
+    """Record the grid shape of every ring sampling of the quadrature route."""
     shapes = []
-    real = dirikit.dirichlet._horner
+    real = dirichlet._ring_samples
 
-    def counting(rows, z):
-        shapes.append(np.shape(z))
-        return real(rows, z)
+    def counting(coeffs, radial, angular):
+        shapes.append((radial, angular))
+        return real(coeffs, radial, angular)
 
-    monkeypatch.setattr(dirikit.dirichlet, "_horner", counting)
+    monkeypatch.setattr(dirichlet, "_ring_samples", counting)
     return shapes
 
 
 def test_quadrature_integral_samples_each_grid_once(monkeypatch):
-    # one Horner pass per grid for the whole measure
-    shapes = _count_horner_passes(monkeypatch)
+    # one ring sampling per grid for the whole measure
+    shapes = _count_ring_samplings(monkeypatch)
     f = AnalyticFunction(tuple(range(1, 18)))
     measure = _eight_atoms_plus_arc(np.random.default_rng(6))
     dirichlet_weighted(f, measure, 2, QuadratureSpec(), force_quadrature=True)
@@ -799,10 +803,20 @@ def test_chosen_grid_matches_the_exact_route_at_roundoff():
             assert quad.spec == QuadratureSpec.for_polynomial(degree, n)
             assert abs(quad.value - exact) <= 1e-12 * exact
             assert quad.error_estimate <= 1e-10 * exact
+    # the default grid is exact for deg f <= 96 (radial 96 >= deg f and
+    # angular 256 >= 2 deg f^(n) + 1): degrees 32-90 stay at roundoff
+    for degree in (32, 60, 90):
+        coeffs = rng.uniform(-1, 1, degree + 1) + 1j * rng.uniform(-1, 1, degree + 1)
+        f = AnalyticFunction(coeffs)
+        for n in range(1, 9):
+            exact = dirichlet_weighted(f, measure, n).value
+            quad = dirichlet_weighted(f, measure, n, QuadratureSpec(),
+                                      force_quadrature=True)
+            assert abs(quad.value - exact) <= 1e-12 * exact
 
 
 def test_quadrature_samples_the_chosen_grids(monkeypatch):
-    shapes = _count_horner_passes(monkeypatch)
+    shapes = _count_ring_samplings(monkeypatch)
     f = AnalyticFunction(tuple(range(1, 18)))
     measure = _eight_atoms_plus_arc(np.random.default_rng(6))
     # degree 16 at order 2: radial 2 * 16, angular 2 * (2 * 14 + 1)
@@ -867,6 +881,26 @@ def test_quadrature_batch_is_each_triples_own_integral():
     assert _quadrature_values([]) == []
 
 
+def test_quadrature_batch_folds_each_triples_own_floats():
+    # on QuadratureSpec(8, 16) an f^(n) of degree 16 or more folds its ring
+    # spectra; a batch of such triples, mixed with ones that do not fold,
+    # still gives each triple the floats of its own call
+    rng = np.random.default_rng(23)
+    measure = _eight_atoms_plus_arc(rng)
+    spec = QuadratureSpec(8, 16)
+    triples = [
+        (AnalyticFunction(rng.uniform(-1, 1, d + 1) + 1j * rng.uniform(-1, 1, d + 1)),
+         measure, n)
+        for d in (40, 3, 40, 17, 60) for n in (1, 2)
+    ]
+    for (f, measure, order), (value, parts, _, _) in zip(
+        triples, _quadrature_values(triples, spec)
+    ):
+        alone = dirichlet_weighted(f, measure, order, spec, force_quadrature=True)
+        assert value.hex() == alone.value.hex()
+        assert [p.hex() for p in parts] == [p.hex() for p in alone.parts]
+
+
 def test_quadrature_batch_parts_are_the_black_box_energies():
     # the black-box front runs the same contraction: its (value, estimate)
     # pairs are the batch's parts and estimates
@@ -875,7 +909,7 @@ def test_quadrature_batch_parts_are_the_black_box_energies():
         triples, _quadrature_values(triples)
     ):
         df = derivative(f, order)
-        pairs = poisson_weighted_energy(lambda z: evaluate(df, z), order, grid, measure)
+        pairs = poisson_weighted_energy(_ring_sampler(df), order, grid, measure)
         assert [(v.hex(), e.hex()) for v, e in pairs] == [
             (v.hex(), e.hex()) for v, e in zip(parts, estimates)
         ]

@@ -77,6 +77,16 @@ def test_derivative_beyond_degree_is_zero():
     assert derivative(AnalyticFunction((1.0, 1.0)), 5).coeffs.tolist() == [0.0]
 
 
+def test_derivative_beyond_the_float_range_names_its_order():
+    # 2 * 0.9e308 overflows at the first step, and a later step multiplies
+    # that inf by the zero imaginary part of k, which gives NaN
+    f = AnalyticFunction((0.0, 1e308, 0.9e308, 0.5e308))
+    for order in (1, 3):
+        with pytest.raises(OverflowError, match=f"order-{order} derivative"):
+            derivative(f, order)
+    assert derivative(f, 0) == f
+
+
 @given(polys, st.integers(0, 3), st.integers(0, 3))
 @settings(max_examples=60, deadline=None)
 def test_derivative_composes(f, i, j):

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,7 +17,8 @@ from dirikit import (
     integrate_disc,
     poisson_weighted_energy,
 )
-from dirikit.quadrature import _extrapolation_weights, _poisson_grid
+from dirikit.functions import _coefficient_block, evaluate
+from dirikit.quadrature import _extrapolation_weights, _poisson_grid, _ring_samples
 
 
 def test_spec_validation():
@@ -215,6 +217,53 @@ def test_poisson_grid_constants_are_cached_and_read_only():
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+
+
+def test_ring_samples_fold_within_the_derived_bound():
+    # degree 40 on QuadratureSpec(8, 16) and its 4x8 half grid folds the
+    # spectrum F = 3 and 6 times.  With u the unit roundoff, S = sum |c_k| r^k
+    # and T = sum k |c_k| r^(k-1) on a ring, each sample is within the
+    # docstring's (5 log2 A + 3 + F) u S of the exact value at its ring node
+    # r e^(2 pi i j / A) (mpmath, 200 bits).  Against evaluate on the float
+    # node z it may also be off by Horner's error, at most (2 sqrt(2) + 1)
+    # D u S (one complex product and sum per step), and by the move of the
+    # node, at most |z - r e^(2 pi i j / A)| T.
+    u = 2.0**-53
+    rng = np.random.default_rng(40)
+    functions = [
+        AnalyticFunction(rng.standard_normal(41) + 1j * rng.standard_normal(41))
+        for _ in range(3)
+    ]
+    with mpmath.workprec(200):
+        for f in functions:
+            coeffs = f.coeffs.tolist()
+            for radial, angular in ((8, 16), (4, 8)):
+                r, _, z, _, _ = _poisson_grid(radial, angular)
+                samples = _ring_samples(f.coeffs, radial, angular)
+                horner = evaluate(f, z)
+                folds = -(-len(coeffs) // angular)
+                ring_bound = (5 * math.log2(angular) + 3 + folds) * u
+                for i, radius in enumerate(r.tolist()):
+                    s = sum(abs(c) * radius**k for k, c in enumerate(coeffs))
+                    t = sum(k * abs(c) * radius ** (k - 1) for k, c in enumerate(coeffs))
+                    for j in range(angular):
+                        node = radius * mpmath.expjpi(mpmath.mpf(2 * j) / angular)
+                        exact = mpmath.polyval(coeffs[::-1], node)
+                        assert abs(mpmath.mpc(samples[i, j]) - exact) <= ring_bound * s
+                        shift = float(abs(mpmath.mpc(z[i, j]) - node))
+                        assert abs(samples[i, j] - horner[i, j]) <= (
+                            ring_bound * s + (2 * math.sqrt(2) + 1) * 40 * u * s
+                            + shift * t
+                        )
+    # a block with degrees below, at and above the fold gives each column
+    # the floats of its own call
+    functions += [AnalyticFunction(rng.standard_normal(d + 1)) for d in (0, 7, 15, 16)]
+    block, _ = _coefficient_block(functions, [len(f.coeffs) for f in functions])
+    for radial, angular in ((8, 16), (4, 8)):
+        batch = _ring_samples(block, radial, angular)
+        assert batch.shape == (len(functions), radial, angular)
+        for f, samples in zip(functions, batch):
+            assert np.array_equal(samples, _ring_samples(f.coeffs, radial, angular))
 
 
 def _half_grid(spec):
