@@ -39,6 +39,7 @@ from .functions import (
     scale,
 )
 from .measures import (
+    Arc,
     Atom,
     CircleMeasure,
     MeasureTuple,
@@ -64,6 +65,7 @@ from .suites import SUITES, VerificationReport, run_all, run_suite
 
 __all__ = [
     "AnalyticFunction",
+    "Arc",
     "Atom",
     "AtomicDecomposition",
     "BoundaryDivergenceError",

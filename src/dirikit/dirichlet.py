@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -36,7 +36,7 @@ from .functions import (
     evaluate,
     times_linear,
 )
-from .measures import Atom, CircleMeasure
+from .measures import Arc, Atom, CircleMeasure
 from .measures import szego_potential as _szego_potential
 from .quadrature import QuadratureSpec, _poisson_energies, _ring_samples, _runs
 
@@ -47,9 +47,10 @@ class DirichletResult:
 
     ``spec`` is the grid of the quadrature route, ``None`` when no part
     was integrated numerically.  An integral against ``measure`` lists
-    in ``parts`` the local integral of each part of the measure at unit
-    mass, in the order of :attr:`CircleMeasure.part_masses`; ``value``
-    is their :meth:`CircleMeasure.weigh` sum.
+    in ``parts`` the local integral of each of :attr:`CircleMeasure.parts`
+    at unit mass, in that order; ``value`` is their
+    :meth:`CircleMeasure.weigh` sum.  The JSON labels each with its part:
+    its kind, its fields and its ``"local"`` value.
     """
 
     value: float
@@ -70,14 +71,9 @@ class DirichletResult:
         if self.spec is not None:
             payload["quad"] = self.spec.to_json()
         if self.measure is not None:
-            lebesgue, atoms = self.measure.lebesgue, self.measure.atoms
-            labels = [{"part": "arc", "mass": lebesgue}] if lebesgue > 0 else []
-            labels += [
-                {"part": "atom", "angle": a.angle, "mass": a.mass} for a in atoms
-            ]
             payload["parts"] = [
-                {**label, "local": local}
-                for label, local in zip(labels, self.parts, strict=True)
+                {"part": type(part).__name__.lower(), **asdict(part), "local": local}
+                for part, local in zip(self.measure.parts, self.parts, strict=True)
             ]
         return payload
 
@@ -211,15 +207,15 @@ def dirichlet_weighted(
 ) -> DirichletResult:
     """Weighted Dirichlet-type integral of positive order.
 
-    The measure splits into its arc-length multiple and its atoms; the
-    result lists the local integral of each part at unit mass and weighs
-    them with :meth:`CircleMeasure.weigh`, arc length first.  Exact
-    polynomials take the decomposition route, the one-triple case of
-    :func:`_exact_values`: one division and one coefficient series for
-    all atoms of the measure, and the coefficient series for the
-    arc-length part.  Truncations integrate their atoms
-    numerically, and ``force_quadrature`` integrates every part
-    numerically; the numerical parts are the one-triple case of
+    The result lists the local integral of each of
+    :attr:`CircleMeasure.parts` at unit mass and weighs them with
+    :meth:`CircleMeasure.weigh`.  Exact polynomials take the
+    decomposition route, the one-triple case of :func:`_exact_values`:
+    one division and one coefficient series for all atoms of the
+    measure, and the coefficient series for the arc-length part.
+    Truncations integrate their atoms numerically, and
+    ``force_quadrature`` integrates every part numerically; the
+    numerical parts are the one-triple case of
     :func:`_quadrature_values`, on the grid :meth:`QuadratureSpec.choose`
     picks from ``spec``, the degree of f and the order.
     """
@@ -251,9 +247,9 @@ def _quadrature_values(triples, spec: QuadratureSpec | None = None) -> list[
     """Quadrature-route integrals of (f, measure, order) triples.
 
     The mirror of :func:`_exact_values`: each triple gets its value, the
-    unit-mass parts of its whole measure, arc length first, their error
-    estimates and its grid, which :meth:`QuadratureSpec.choose` picks from
-    ``spec``, the degree of f and the order.  The triples of one order
+    unit-mass values of its measure's :attr:`CircleMeasure.parts`, their
+    error estimates and its grid, which :meth:`QuadratureSpec.choose`
+    picks from ``spec``, the degree of f and the order.  The triples of one order
     and grid share one sampling of the coefficient block of their
     ``f^(n)`` per grid, one inverse FFT per ring and column
     (``quadrature._ring_samples``, in ``quadrature._runs`` of nodes times
@@ -291,28 +287,33 @@ def _quadrature_values(triples, spec: QuadratureSpec | None = None) -> list[
 def _exact_values(triples) -> list[tuple[float, tuple[float, ...]]]:
     """Exact-route integrals of (f, measure, order) triples.
 
-    Each triple gets its value and its unit-mass parts, arc length first,
-    as :func:`dirichlet_weighted` lists them.  The triples of one order
-    share one coefficient series over the blocks of their arc-length
-    parts and one batch of local integrals with a column per (f, atom);
-    each value comes from :meth:`CircleMeasure.weigh`.  A triple with
-    atoms needs an exact f.  At order 0 the arc-length part is the squared
-    Hardy norm and an atom's part is |f(lam)|^2.
+    Each triple gets its value and the unit-mass values of its
+    :attr:`CircleMeasure.parts`, as :func:`dirichlet_weighted` lists them.
+    The triples of one order have a column per (f, part), in part order:
+    one coefficient series takes the columns of arc-length parts and one
+    batch of local integrals those of atoms, and each triple reads its
+    parts back in order; each value comes from :meth:`CircleMeasure.weigh`.  A triple with atoms needs an exact f.
+    At order 0 the arc-length part is the squared Hardy norm and an
+    atom's part is |f(lam)|^2.
     """
     results = [None] * len(triples)
     for order in dict.fromkeys(n for _, _, n in triples):
         group = [(t, f, measure) for t, (f, measure, n) in enumerate(triples)
                  if n == order]
-        arcs = [f for _, f, measure in group if measure.lebesgue > 0]
-        arc = iter(_series_sums(arcs, order))
+        arc = iter(_series_sums(
+            [f for _, f, measure in group for part in measure.parts
+             if isinstance(part, Arc)], order
+        ))
         local = iter(_local_integrals(
-            [f for _, f, measure in group for _ in measure.atoms],
-            [atom.point for _, _, measure in group for atom in measure.atoms],
+            [f for _, f, measure in group for part in measure.parts
+             if isinstance(part, Atom)],
+            [part.point for _, _, measure in group for part in measure.parts
+             if isinstance(part, Atom)],
             order,
         ))
         for t, _, measure in group:
-            head = (next(arc),) if measure.lebesgue > 0 else ()
-            parts = head + tuple(next(local) for _ in measure.atoms)
+            parts = tuple(next(arc) if isinstance(part, Arc) else next(local)
+                          for part in measure.parts)
             results[t] = (measure.weigh(parts), parts)
     return results
 

@@ -127,24 +127,11 @@ def evaluate(f: AnalyticFunction, z):
 def _horner(rows, zs):
     """The sum of ``rows[k] * zs**k`` by Horner's rule.
 
-    Row k is a number, or an array with one entry per point.  On a disc
-    grid (``zs.ndim >= 2``, as ``evaluate`` gets it from a black-box
-    integrand) every step after the first multiplies and adds in place,
-    with the same floats.  Points keep the out-of-place steps: numpy's
-    in-place complex product on a one-element array rounds like its
-    scalar loop, not like the array product.
+    Row k is a number, or an array with one entry per point.
     """
     acc = np.zeros_like(zs)
-    steps = reversed(rows)
-    if zs.ndim < 2:
-        for c in steps:
-            acc = acc * zs + c
-        return acc
-    # the first step broadcasts acc to the shape of the result
-    acc = acc * zs + next(steps)
-    for c in steps:
-        np.multiply(acc, zs, out=acc)
-        acc += c
+    for c in reversed(rows):
+        acc = acc * zs + c
     return acc
 
 

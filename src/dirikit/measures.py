@@ -3,7 +3,9 @@
 Supported measures are a finite sum of point masses plus a multiple of
 normalized arc length.  That class is closed under everything the package
 computes and admits closed-form Poisson integrals and Szego potentials,
-which is what keeps an exact oracle available for every test.
+which is what keeps an exact oracle available for every test.  Every
+integral against a measure is a list of values, one per part in the order
+of :attr:`CircleMeasure.parts`, that :meth:`CircleMeasure.weigh` adds up.
 """
 
 from __future__ import annotations
@@ -31,6 +33,13 @@ class Atom:
     @property
     def point(self) -> complex:
         return cmath.exp(1j * self.angle)
+
+
+@dataclass(frozen=True)
+class Arc:
+    """``mass`` times normalized arc length, as a part of a measure."""
+
+    mass: float
 
 
 @dataclass(frozen=True)
@@ -82,21 +91,22 @@ class CircleMeasure:
         return self.lebesgue == 0.0
 
     @cached_property
-    def part_masses(self) -> tuple[float, ...]:
-        """Mass of each part: arc length first when it has mass, then the
-        atoms in measure order."""
-        head = (self.lebesgue,) if self.lebesgue > 0 else ()
-        return head + tuple(a.mass for a in self.atoms)
+    def parts(self) -> tuple[Arc | Atom, ...]:
+        """The parts of the measure: its :class:`Arc` first when arc length
+        has mass, then its atoms in angle order.  This is the one place the
+        order of the parts is decided."""
+        head = (Arc(self.lebesgue),) if self.lebesgue > 0 else ()
+        return head + self.atoms
 
-    def weigh(self, parts) -> float:
+    def weigh(self, values) -> float:
         """Mass-weighted sum of unit-mass part values in part order.
 
         Integrals against the measure are added up from their parts here
-        alone, each part times its mass and added left to right.
+        alone, each part's value times its mass and added left to right.
         """
         total = 0.0
-        for mass, part in zip(self.part_masses, parts, strict=True):
-            total += mass * part
+        for part, value in zip(self.parts, values, strict=True):
+            total += part.mass * value
         return total
 
     def to_json(self) -> dict:

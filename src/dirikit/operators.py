@@ -16,7 +16,7 @@ import numpy as np
 
 from .dirichlet import _binomial_row, _exact_values
 from .functions import AnalyticFunction, multiply
-from .measures import CircleMeasure, MeasureTuple
+from .measures import Arc, CircleMeasure, MeasureTuple
 
 #: Below this, a defect or an order-zero integral counts as vanishing.
 VANISHING_TOLERANCE = 1e-9
@@ -123,10 +123,11 @@ def gram_section(measures: MeasureTuple, degree: int) -> GramSection:
     size = degree + 1
     matrix = np.eye(size, dtype=complex)
     for j, measure in enumerate(measures.entries, start=1):
-        if measure.lebesgue > 0:
-            matrix += measure.lebesgue * np.diag(_binomial_row(j, size))
-        for atom in measure.atoms:
-            matrix += atom.mass * _atom_pair_matrix(atom.point, j, degree)
+        for part in measure.parts:
+            if isinstance(part, Arc):
+                matrix += part.mass * np.diag(_binomial_row(j, size))
+            else:
+                matrix += part.mass * _atom_pair_matrix(part.point, j, degree)
     return GramSection(measures, degree, matrix)
 
 

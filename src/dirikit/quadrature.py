@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import CircleMeasure
+from .measures import Arc, Atom, CircleMeasure
 
 
 class SingularIntegrandError(ArithmeticError):
@@ -262,10 +262,11 @@ def _ring_samples(coeffs: np.ndarray, radial: int, angular: int) -> np.ndarray:
     ring's spectrum c_k r_i^k, with k folded modulo A where D >= A: one
     inverse FFT per ring, O(A log A) in place of Horner's O(A D).  The
     powers r^0..r^(A // 2) are the columns of the grid's Poisson kernel;
-    only a higher degree computes more.  Each spectrum term is two real
-    products, and the folds add in order of k, so a column of a block gets
-    the floats of its own call: a zero-padded term adds +0.0, which can
-    move only the sign of a zero.
+    only a higher degree computes more.  A term c_k r^k = (a + ib) r is a
+    product with the power cast to complex, a r - b 0 + i (a 0 + b r), so
+    each part is rounded once.  The folds add in order of k, so a column
+    of a block gets the floats of its own call: a zero-padded term adds
+    +0.0, which can move only the sign of a zero.
 
     With u the unit roundoff, S = sum_k |c_k| r_i^k on ring i and F the
     number of folds, the spectrum is off by at most (3 + F) u S in all:
@@ -284,13 +285,9 @@ def _ring_samples(coeffs: np.ndarray, radial: int, angular: int) -> np.ndarray:
         powers = np.hstack([powers, r[:, None] ** np.arange(known, count)])
     spectra = np.zeros((len(block), radial, angular), dtype=complex)
     for start in range(0, count, angular):
-        # c_k r^k as two real products, each rounded once: numpy's complex
-        # product may round a batch differently from a lone call
         terms = block[:, None, start:start + angular]
         ring_powers = powers[:, start:start + angular]
-        width = ring_powers.shape[1]
-        spectra.real[..., :width] += terms.real * ring_powers
-        spectra.imag[..., :width] += terms.imag * ring_powers
+        spectra[..., :ring_powers.shape[1]] += terms * ring_powers
     np.fft.ifft(spectra, norm="forward", out=spectra)
     return spectra.reshape(coeffs.shape[1:] + (radial, angular))
 
@@ -333,25 +330,32 @@ def _poisson_contractions(
     """Unit-mass energies of stacked |h|^2 samplings on one grid.
 
     ``squares[j]`` is sampled on the nodes of the ``(radial, angular)``
-    grid of its shape and integrated against each part of ``measures[j]``,
-    arc length first.  One angular sum and one FFT run over the whole
-    stack.  The atoms of all samplings then go in :func:`_runs` of at
-    most ``_CELL_BUDGET`` nodes times atoms, each with one phase table, one
-    product and one angular sum, and one radial sum takes every part.
+    grid of its shape and integrated against each of
+    ``measures[j].parts``, in that order.  Each part's radial profile is
+    one row of a ``(parts, radial)`` array, at the part's index.  One
+    angular sum gives the arc-length rows and one FFT runs over the whole
+    stack; the atoms of all samplings then go in :func:`_runs` of at most
+    ``_CELL_BUDGET`` nodes times atoms, each with one phase table, one
+    product and one angular sum, and one radial sum takes every row.
     Every sampling gets the floats it would get alone.  A part whose sum
     leaves the float range raises ``OverflowError``.
     """
     radial, angular = squares.shape[-2:]
     r, wr, _, freqs, kernel = _poisson_grid(radial, angular)
-    arcs = [j for j, measure in enumerate(measures) if measure.lebesgue > 0]
-    owners = [j for j, measure in enumerate(measures) for _ in measure.atoms]
-    profiles = [np.empty((0, radial))]  # a measure may have no part
+    # row i integrates squares[owners[i]] against the part columns[i]
+    owners = np.array(
+        [j for j, measure in enumerate(measures) for _ in measure.parts], dtype=int
+    )
+    columns = [part for measure in measures for part in measure.parts]
+    arcs = [i for i, part in enumerate(columns) if isinstance(part, Arc)]
+    atoms = [i for i, part in enumerate(columns) if isinstance(part, Atom)]
+    profiles = np.empty((len(columns), radial))  # a measure may have no part
     # finite squares may still overflow a sum, which the check below names
     with np.errstate(over="ignore", invalid="ignore"):
         if arcs:
             # the floats of squares.mean(axis=-1)
-            profiles.append(squares.sum(axis=-1)[arcs] / angular)
-        if owners:
+            profiles[arcs] = squares.sum(axis=-1)[owners[arcs]] / angular
+        if atoms:
             # exact angular integral of squares * Poisson: convolve the sampled
             # Fourier coefficients with the kernel coefficients r^|d| e^(i d a)
             smoothed = np.fft.fft(squares, axis=-1)
@@ -361,17 +365,16 @@ def _poisson_contractions(
             # zero sum is clipped to +0.0
             smoothed *= 1.0 / angular
             smoothed *= kernel
-            angles = np.array([atom.angle for measure in measures
-                               for atom in measure.atoms])
-            for run in _runs(len(owners), radial * angular):
+            angles = np.array([columns[i].angle for i in atoms])
+            for run in _runs(len(atoms), radial * angular):
                 # the atoms of one sampling broadcast its rows; others gather
-                run_owners = owners[run]
+                run_owners = owners[atoms[run]]
                 rows = (smoothed[run_owners[0]] if run_owners[0] == run_owners[-1]
                         else smoothed[run_owners])
                 phases = np.exp(1j * freqs * angles[run, None])[:, None, :]
-                profiles.append((rows * phases).sum(axis=-1).real)
+                profiles[atoms[run]] = (rows * phases).sum(axis=-1).real
         weight = (1.0 - r**2) ** (order - 1)
-        sums = (wr * np.concatenate(profiles) * weight).sum(axis=-1)
+        sums = (wr * profiles * weight).sum(axis=-1)
     if not np.isfinite(sums).all():
         raise OverflowError(
             f"overflow: the order-{order} energy on the {radial}x{angular} "
@@ -385,13 +388,8 @@ def _poisson_contractions(
         values = (sums / norm).tolist()
     else:
         values = [float(Fraction(x) / norm) for x in sums.tolist()]
-    arc_values = iter(values[:len(arcs)])
-    atom_values = iter(values[len(arcs):])
-    return [
-        ([next(arc_values)] if measure.lebesgue > 0 else [])
-        + [next(atom_values) for _ in measure.atoms]
-        for measure in measures
-    ]
+    values = iter(values)
+    return [[next(values) for _ in measure.parts] for measure in measures]
 
 
 def _poisson_energies(
@@ -437,14 +435,14 @@ def poisson_weighted_energy(
     ``values_fn`` receives a complex ndarray of interior points and must
     return h at those points.
 
-    Returns one (value, error estimate) pair per part, each at unit mass:
-    the arc-length part first if it has mass, then the atoms in measure
-    order.  :meth:`CircleMeasure.weigh` adds them up to the integral
-    against the whole measure.  Each of the two grids is sampled once and
-    contracted against all parts at once.  This is the black-box front of
-    the contraction that ``dirichlet._quadrature_values`` runs on stacked
-    samplings.  A part whose sum leaves the float range raises
-    ``OverflowError`` naming the order and the grid.
+    Returns one (value, error estimate) pair per part, each at unit mass,
+    in the order of :attr:`CircleMeasure.parts`.  :meth:`CircleMeasure.weigh`
+    adds them up to the integral against the whole measure.  Each of the
+    two grids is sampled once and contracted against all parts at once.
+    This is the black-box front of the contraction that
+    ``dirichlet._quadrature_values`` runs on stacked samplings.  A part
+    whose sum leaves the float range raises ``OverflowError`` naming the
+    order and the grid.
 
     The rule is exact for a polynomial h of degree D on a grid with
     ``angular >= 2 D + 1`` and ``radial >= D + order``.  Angularly, |h|^2

@@ -17,7 +17,7 @@ import inspect
 import itertools
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -610,16 +610,15 @@ def run_szego(rec: _Recorder, draws, orders, spec) -> None:
     results = _quadrature_values([
         (dirichlet_kernel_section(w, 0, _SZEGO_DEGREE), union, n) for n, w in keys
     ], spec)
-    local = {}
-    for key, (_, (arc, *atoms), _, _) in zip(keys, results):
-        local[key] = arc, dict(zip((a.angle for a in union.atoms), atoms))
+    # each truncation's unit-mass value of every part, by its unit part
+    local = {key: dict(zip(union.parts, parts))
+             for key, (_, parts, _, _) in zip(keys, results)}
     for name, measure in measures.items():
         for n in orders:
             for w in points:
                 closed = szego_kernel_energy(w, measure, n)
-                arc, at = local[n, w]
-                parts = [arc] if measure.lebesgue > 0 else []
-                quad = measure.weigh(parts + [at[a.angle] for a in measure.atoms])
+                quad = measure.weigh([local[n, w][replace(part, mass=1.0)]
+                                      for part in measure.parts])
                 record = {"measure": name, "n": n, "w": [w.real, w.imag]}
                 rec.equality(record, quad, closed)
     for n in orders:

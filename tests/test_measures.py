@@ -7,6 +7,7 @@ import pytest
 
 from dirikit import (
     AnalyticFunction,
+    Arc,
     Atom,
     CircleMeasure,
     MeasureTuple,
@@ -65,6 +66,48 @@ def test_rejects_nonpositive_mass():
 def test_total_mass():
     measure = CircleMeasure((Atom(0.0, 1.5), Atom(1.0, 0.5)), 2.0)
     assert measure.total_mass == 4.0
+
+
+def test_parts_put_arc_length_first_only_when_it_has_mass():
+    # -1e-17 is stored at 0.0 and -1.0 at 2 pi - 1, so 0.0 < 3.0 < 2 pi - 1
+    atoms = (Atom(3.0, 2.0), Atom(-1.0, 0.25), Atom(-1e-17, 0.5))
+    ordered = (Atom(0.0, 0.5), Atom(3.0, 2.0), Atom(-1.0 % (2 * math.pi), 0.25))
+    assert CircleMeasure(atoms).parts == ordered
+    assert CircleMeasure(atoms).parts[0].angle == 0.0
+    assert CircleMeasure(atoms, 0.75).parts == (Arc(0.75),) + ordered
+    assert CircleMeasure.arc_length(2.0).parts == (Arc(2.0),)
+    assert CircleMeasure.point_mass(1.0).parts == (Atom(1.0, 1.0),)
+    assert CircleMeasure.zero().parts == ()
+
+
+def test_parts_are_hashable_and_equal_across_rebuilt_measures():
+    measure = CircleMeasure((Atom(2.0, 1.5), Atom(-1e-17, 0.5)), 0.25)
+    rebuilt = [
+        CircleMeasure.from_json(measure.to_json()),
+        CircleMeasure(measure.atoms[::-1], measure.lebesgue),
+        CircleMeasure((Atom(2.0, 1.5), Atom(0.0, 0.5)), 0.25),
+    ]
+    index = {part: i for i, part in enumerate(measure.parts)}
+    for other in rebuilt:
+        assert other.parts == measure.parts
+        assert hash(other.parts) == hash(measure.parts)
+        assert [index[part] for part in other.parts] == [0, 1, 2]
+
+
+def test_weigh_is_the_mass_times_value_loop_bit_for_bit():
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        count = int(rng.integers(0, 8))
+        angles = 2 * math.pi * (np.arange(count) + rng.uniform(0, 0.9, count)) / 8
+        atoms = tuple(Atom(a, m) for a, m in zip(angles, rng.uniform(0.1, 3.0, count)))
+        measure = CircleMeasure(atoms, float(rng.choice([0.0, rng.uniform(0.1, 3.0)])))
+        values = rng.standard_normal(len(measure.parts)) * 10.0 ** rng.integers(-8, 8)
+        total = 0.0
+        for part, value in zip(measure.parts, values):
+            total += part.mass * value
+        assert measure.weigh(values).hex() == total.hex()
+    with pytest.raises(ValueError):
+        CircleMeasure((), 1.0).weigh([1.0, 2.0])
 
 
 def test_poisson_arc_length_is_constant():
