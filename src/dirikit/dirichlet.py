@@ -249,9 +249,9 @@ def _quadrature_values(triples, spec: QuadratureSpec | None = None) -> list[
     The mirror of :func:`_exact_values`: each triple gets its value, the
     unit-mass values of its measure's :attr:`CircleMeasure.parts`, their
     error estimates and its grid, which :meth:`QuadratureSpec.choose`
-    picks from ``spec``, the degree of f and the order.  The triples of one order
-    and grid share one sampling of the coefficient block of their
-    ``f^(n)`` per grid, one inverse FFT per ring and column
+    picks from ``spec``, the degree of f and the order.  The triples of
+    one order and grid share one sampling of the coefficient block of
+    their ``f^(n)`` per grid, one inverse FFT per ring and column
     (``quadrature._ring_samples``, in ``quadrature._runs`` of nodes times
     columns), and one contraction of the stacked ``|f^(n)|^2`` against
     all their parts.  Every triple gets the floats of its own
@@ -289,12 +289,12 @@ def _exact_values(triples) -> list[tuple[float, tuple[float, ...]]]:
 
     Each triple gets its value and the unit-mass values of its
     :attr:`CircleMeasure.parts`, as :func:`dirichlet_weighted` lists them.
-    The triples of one order have a column per (f, part), in part order:
-    one coefficient series takes the columns of arc-length parts and one
-    batch of local integrals those of atoms, and each triple reads its
-    parts back in order; each value comes from :meth:`CircleMeasure.weigh`.  A triple with atoms needs an exact f.
-    At order 0 the arc-length part is the squared Hardy norm and an
-    atom's part is |f(lam)|^2.
+    The triples of one order have a column per (f, part): one coefficient
+    series takes those of arc-length parts and one batch of local
+    integrals those of atoms, and each triple reads its parts back in
+    order and weighs them with :meth:`CircleMeasure.weigh`.  A triple
+    with atoms needs an exact f.  At order 0 the arc-length part is the
+    squared Hardy norm and an atom's part is |f(lam)|^2.
     """
     results = [None] * len(triples)
     for order in dict.fromkeys(n for _, _, n in triples):
