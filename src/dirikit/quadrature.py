@@ -18,9 +18,11 @@ smooth on the whole of [0, 1]; no clipping is needed.  The samples do not
 depend on the atom, so a whole measure costs one sampling per grid.
 ``_poisson_energies`` runs it on stacked samplings of many functions: one
 check of the samples (``_checked_squares``), then one contraction of the
-stack (``_poisson_contractions``): one angular sum and one FFT over the
-stack, one phase product and angular sum per run of atoms, and one radial
-sum over every part.  ``dirichlet._quadrature_values`` samples the stack
+stack (``_poisson_contractions``): one angular sum for the arc-length
+parts; for the atoms one real FFT over the stack, one product with the
+half-spectrum weights and one radial sum, which leave one row of
+frequencies per sampling, then one phase product and frequency sum for
+every atom at once.  ``dirichlet._quadrature_values`` samples the stack
 of polynomials with one inverse FFT per ring (``_ring_samples``);
 ``poisson_weighted_energy`` is the front for a black-box h, one sampling
 per grid.
@@ -222,9 +224,8 @@ def integrate_disc(
     return value, estimate
 
 
-#: Cells of one batched step: grid nodes times samplings, grid nodes times
-#: atoms in a contraction, or coefficient rows times columns.  It bounds
-#: the memory of a batch, not its floats.
+#: Cells of one batched step: grid nodes times samplings, or coefficient
+#: rows times columns.  It bounds the memory of a batch, not its floats.
 _CELL_BUDGET = 96 * 256
 
 
@@ -237,18 +238,39 @@ def _runs(count: int, rows: int) -> list[slice]:
 
 #: Holds every grid, half grids included, that ``for_polynomial`` picks for
 #: degrees 0-20 at orders 1-4 (126 shapes with the default pair), and so
-#: every grid of ``verify all``; full, it holds at most about 70 MB.
+#: every grid of ``verify all``; full of the largest shapes ``for_polynomial``
+#: can pick, it holds about 58 MB.
 @lru_cache(maxsize=256)
 def _poisson_grid(radial: int, angular: int) -> tuple[np.ndarray, ...]:
-    """Read-only radii r, radial weights, nodes z, FFT frequencies d and
-    Poisson kernel coefficients r^|d| (one row per radius) of one grid."""
+    """Read-only radii r, radial weights, nodes z and Poisson kernel
+    coefficients r^d for d = 0 .. angular // 2 (one row per radius) of one
+    grid."""
     r, wr = _radial_rule(radial, 1.0)
     z = r[:, None] * np.exp(1j * _angles(angular))[None, :]
-    freqs = np.rint(np.fft.fftfreq(angular, 1.0 / angular)).astype(int)
-    kernel = r[:, None] ** np.abs(freqs)[None, :]
-    for array in (r, wr, z, freqs, kernel):
+    kernel = r[:, None] ** np.arange(angular // 2 + 1)
+    for array in (r, wr, z, kernel):
         array.setflags(write=False)
-    return r, wr, z, freqs, kernel
+    return r, wr, z, kernel
+
+
+#: One table per grid and order; a default-grid table is 99 KB, so a full
+#: cache holds at most about 25 MB.
+@lru_cache(maxsize=256)
+def _spectral_weights(radial: int, angular: int, order: int) -> np.ndarray:
+    """Read-only weights W(r, d) = c_d wr (1 - r^2)^(order-1) r^d / angular
+    of the half-spectrum d = 0 .. angular // 2 of one grid, one row per
+    radius.  c_d counts the DFT frequencies that column d stands for, d and
+    -d: 2, but 1 for d = 0 and, for an even angular, for the Nyquist
+    frequency angular / 2, which is the same DFT term as -angular / 2."""
+    r, wr, _, kernel = _poisson_grid(radial, angular)
+    counts = np.full(angular // 2 + 1, 2.0)
+    counts[0] = 1.0
+    if angular % 2 == 0:
+        counts[-1] = 1.0
+    radial_weights = wr * (1.0 - r**2) ** (order - 1) / angular
+    table = radial_weights[:, None] * kernel * counts
+    table.setflags(write=False)
+    return table
 
 
 def _ring_samples(coeffs: np.ndarray, radial: int, angular: int) -> np.ndarray:
@@ -278,7 +300,7 @@ def _ring_samples(coeffs: np.ndarray, radial: int, angular: int) -> np.ndarray:
     """
     block = coeffs.reshape(len(coeffs), -1).T
     count = block.shape[1]
-    r, _, _, _, kernel = _poisson_grid(radial, angular)
+    r, _, _, kernel = _poisson_grid(radial, angular)
     known = min(count, angular // 2 + 1)
     powers = kernel[:, :known]
     if count > known:
@@ -331,50 +353,47 @@ def _poisson_contractions(
 
     ``squares[j]`` is sampled on the nodes of the ``(radial, angular)``
     grid of its shape and integrated against each of
-    ``measures[j].parts``, in that order.  Each part's radial profile is
-    one row of a ``(parts, radial)`` array, at the part's index.  One
-    angular sum gives the arc-length rows and one FFT runs over the whole
-    stack; the atoms of all samplings then go in :func:`_runs` of at most
-    ``_CELL_BUDGET`` nodes times atoms, each with one phase table, one
-    product and one angular sum, and one radial sum takes every row.
-    Every sampling gets the floats it would get alone.  A part whose sum
-    leaves the float range raises ``OverflowError``.
+    ``measures[j].parts``, in that order.  An arc-length part sums the
+    angular mean of its sampling against the radial weights wr (1 -
+    r^2)^(order-1).  An atom at angle a sums the exact angular integral of
+    |h|^2 times its Poisson kernel, sum_d r^|d| e^(i d a) S(r, d) / A over
+    the A frequencies of the DFT S(r, .) of each ring, against the same
+    weights.  |h|^2 is real, so S(r, -d) = conj S(r, d), and the terms at
+    d and -d add up to twice the real part of one: the sum runs over the
+    half-spectrum d = 0 .. A // 2 of ``np.fft.rfft`` with the weights
+    W(r, d) of :func:`_spectral_weights`, whose c_d is 1 where no partner
+    term exists (d = 0 and, for an even A, the Nyquist term).  Both sums
+    are finite, so the radial sum goes first: T_d = sum_r W(r, d) S(r, d)
+    is one row per sampling, whatever its atoms, and an atom's sum is
+    Re sum_d T_d e^(i d a), one phase table, gathered product and last-axis
+    sum for every atom of the call.  Every sampling gets the floats it
+    would get alone.  A part whose sum leaves the float range raises
+    ``OverflowError``.
     """
     radial, angular = squares.shape[-2:]
-    r, wr, _, freqs, kernel = _poisson_grid(radial, angular)
-    # row i integrates squares[owners[i]] against the part columns[i]
+    r, wr, _, _ = _poisson_grid(radial, angular)
+    # sums[i] integrates squares[owners[i]] against the part columns[i]
     owners = np.array(
         [j for j, measure in enumerate(measures) for _ in measure.parts], dtype=int
     )
     columns = [part for measure in measures for part in measure.parts]
     arcs = [i for i, part in enumerate(columns) if isinstance(part, Arc)]
     atoms = [i for i, part in enumerate(columns) if isinstance(part, Atom)]
-    profiles = np.empty((len(columns), radial))  # a measure may have no part
+    sums = np.empty(len(columns))  # a measure may have no part
     # finite squares may still overflow a sum, which the check below names
     with np.errstate(over="ignore", invalid="ignore"):
         if arcs:
             # the floats of squares.mean(axis=-1)
-            profiles[arcs] = squares.sum(axis=-1)[owners[arcs]] / angular
+            profiles = squares.sum(axis=-1)[owners[arcs]] / angular
+            weight = (1.0 - r**2) ** (order - 1)
+            sums[arcs] = (wr * profiles * weight).sum(axis=-1)
         if atoms:
-            # exact angular integral of squares * Poisson: convolve the sampled
-            # Fourier coefficients with the kernel coefficients r^|d| e^(i d a)
-            smoothed = np.fft.fft(squares, axis=-1)
-            # numpy's complex `/ angular` multiplies each part by 1.0 / angular
-            # after adding a signed zero to it: this product gives the same
-            # floats but for the sign of a zero, which no energy keeps, as a
-            # zero sum is clipped to +0.0
-            smoothed *= 1.0 / angular
-            smoothed *= kernel
+            spectra = np.fft.rfft(squares, axis=-1)
+            spectra *= _spectral_weights(radial, angular, order)
+            rows = spectra.sum(axis=-2)
             angles = np.array([columns[i].angle for i in atoms])
-            for run in _runs(len(atoms), radial * angular):
-                # the atoms of one sampling broadcast its rows; others gather
-                run_owners = owners[atoms[run]]
-                rows = (smoothed[run_owners[0]] if run_owners[0] == run_owners[-1]
-                        else smoothed[run_owners])
-                phases = np.exp(1j * freqs * angles[run, None])[:, None, :]
-                profiles[atoms[run]] = (rows * phases).sum(axis=-1).real
-        weight = (1.0 - r**2) ** (order - 1)
-        sums = (wr * profiles * weight).sum(axis=-1)
+            phases = np.exp(1j * np.arange(angular // 2 + 1) * angles[:, None])
+            sums[atoms] = (rows[owners[atoms]] * phases).sum(axis=-1).real
     if not np.isfinite(sums).all():
         raise OverflowError(
             f"overflow: the order-{order} energy on the {radial}x{angular} "

@@ -18,7 +18,13 @@ from dirikit import (
     poisson_weighted_energy,
 )
 from dirikit.functions import _coefficient_block, evaluate
-from dirikit.quadrature import _extrapolation_weights, _poisson_grid, _ring_samples
+from dirikit.quadrature import (
+    _extrapolation_weights,
+    _poisson_contractions,
+    _poisson_grid,
+    _ring_samples,
+    _spectral_weights,
+)
 
 
 def test_spec_validation():
@@ -210,9 +216,9 @@ def test_poisson_weighted_energy_parts_in_measure_order():
 def test_poisson_grid_constants_are_cached_and_read_only():
     grid = _poisson_grid(48, 128)
     assert _poisson_grid(48, 128) is grid
-    r, wr, z, freqs, kernel = grid
-    assert z.shape == kernel.shape == (48, 128)
-    assert r.shape == wr.shape == (48,) and freqs.shape == (128,)
+    r, wr, z, kernel = grid
+    assert z.shape == (48, 128) and kernel.shape == (48, 65)
+    assert r.shape == wr.shape == (48,)
     for array in grid:
         assert not array.flags.writeable
         with pytest.raises(ValueError):
@@ -238,7 +244,7 @@ def test_ring_samples_fold_within_the_derived_bound():
         for f in functions:
             coeffs = f.coeffs.tolist()
             for radial, angular in ((8, 16), (4, 8)):
-                r, _, z, _, _ = _poisson_grid(radial, angular)
+                r, _, z, _ = _poisson_grid(radial, angular)
                 samples = _ring_samples(f.coeffs, radial, angular)
                 horner = evaluate(f, z)
                 folds = -(-len(coeffs) // angular)
@@ -264,6 +270,87 @@ def test_ring_samples_fold_within_the_derived_bound():
         assert batch.shape == (len(functions), radial, angular)
         for f, samples in zip(functions, batch):
             assert np.array_equal(samples, _ring_samples(f.coeffs, radial, angular))
+
+
+def _prime_factors(n):
+    factors, p = [], 2
+    while n > 1:
+        while n % p == 0:
+            factors.append(p)
+            n //= p
+        p += 1
+    return factors
+
+
+def _full_spectrum_sums(squares, order, angles):
+    # the contraction over the whole DFT: the complex FFT of each ring, the
+    # kernel r^|d| and the phase e^(i d a) for every frequency d of fftfreq
+    radial, angular = squares.shape
+    r, wr, _, _ = _poisson_grid(radial, angular)
+    freqs = np.rint(np.fft.fftfreq(angular, 1.0 / angular)).astype(int)
+    smoothed = np.fft.fft(squares, axis=-1) / angular * r[:, None] ** np.abs(freqs)
+    weight = (1.0 - r**2) ** (order - 1)
+    return [
+        float((wr * (smoothed * np.exp(1j * freqs * a)).sum(axis=-1).real * weight).sum())
+        for a in angles
+    ]
+
+
+def test_half_spectrum_contraction_matches_the_full_spectrum_within_the_derived_bound():
+    # The exact atom sum is a sum of terms t = wr w r^|d| s_j e^(i d (a -
+    # theta_j)) / A over rings, nodes j and all A frequencies d, and each
+    # route rounds every term at most L times, so the two differ by at most
+    # (L_full + L_half) u sum |t|.  Both take w = (1 - r^2)^(n-1), r^|d|
+    # and the phase from the same float expressions, so only these count:
+    # an FFT level of radix p, p - 1 sums and a twiddle product (p + 3);
+    # the full route's 1 / A, kernel, phase and wr and w products (7), its
+    # pairwise frequency and radial sums; the half route's table of 3
+    # products and its product with the spectrum (4), its phase product (3),
+    # its radial sum in order (R - 1) and pairwise frequency sum; and the
+    # division by n! (n-1)! (1 each).  Random squares that are not
+    # band-limited fill every frequency, the Nyquist term included.
+    u = 2.0**-53
+    rng = np.random.default_rng(25)
+    for radial, angular in ((8, 16), (8, 17), (12, 33), (96, 256)):
+        r, wr, _, _ = _poisson_grid(radial, angular)
+        fft_depth = sum(p + 3 for p in _prime_factors(angular))
+        log_a = math.ceil(math.log2(angular))
+        depth = (fft_depth + 7 + log_a + math.ceil(math.log2(radial)) + 1) + (
+            fft_depth + 4 + 3 + radial - 1 + log_a + 1
+        )
+        freqs = np.fft.fftfreq(angular, 1.0 / angular)
+        kernel_sums = (r[:, None] ** np.abs(freqs)).sum(axis=-1)
+        squares = rng.random((3, radial, angular))
+        for order in (1, 3):
+            norm = math.factorial(order) * math.factorial(order - 1)
+            weight = (1.0 - r**2) ** (order - 1)
+            measures = [
+                CircleMeasure(tuple(Atom(a, 1.0) for a in rng.uniform(0, 2 * math.pi, k)))
+                for k in (1, 4, 2)
+            ]
+            batch = _poisson_contractions(squares, order, measures)
+            for square, measure, values in zip(squares, measures, batch):
+                # a batch of samplings gives each the floats of its lone call
+                assert values == _poisson_contractions(square[None], order, [measure])[0]
+                angles = [atom.angle for atom in measure.atoms]
+                terms = (wr * weight * square.sum(axis=-1) * kernel_sums).sum() / angular
+                for got, full in zip(values, _full_spectrum_sums(square, order, angles)):
+                    assert abs(got - max(full, 0.0) / norm) <= depth * u * terms / norm
+    # mixed parts and a measure with none, each sampling as if alone
+    squares = rng.random((4, 12, 33))
+    measures = [
+        CircleMeasure((Atom(0.3, 2.0), Atom(4.0, 0.5)), 0.75),
+        CircleMeasure.arc_length(),
+        CircleMeasure.zero(),
+        CircleMeasure.point_mass(5.5),
+    ]
+    batch = _poisson_contractions(squares, 2, measures)
+    assert [len(values) for values in batch] == [3, 1, 0, 1]
+    for square, measure, values in zip(squares, measures, batch):
+        assert values == _poisson_contractions(square[None], 2, [measure])[0]
+    table = _spectral_weights(12, 33, 2)
+    assert _spectral_weights(12, 33, 2) is table and table.shape == (12, 17)
+    assert not table.flags.writeable
 
 
 def _half_grid(spec):
