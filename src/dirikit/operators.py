@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dirichlet import _binomial_row, _exact_values
-from .functions import AnalyticFunction, multiply
+from .functions import AnalyticFunction
 from .measures import Arc, CircleMeasure, MeasureTuple
 
 #: Below this, a defect or an order-zero integral counts as vanishing.
@@ -66,34 +66,18 @@ class DefectKernelCheck:
 
 
 def tuple_norm_sq(f: AnalyticFunction, measures: MeasureTuple) -> float:
-    """Squared tuple norm: Hardy part plus the order-j weighted integrals."""
-    (total,) = _tuple_norms([(f, measures)])
-    return total
+    """Squared tuple norm: Hardy part plus the order-j weighted integrals.
 
-
-def _tuple_norms(pairs) -> list[float]:
-    """Squared tuple norms of (exact polynomial, measure tuple) pairs.
-
-    One :func:`_exact_values` call gives every Hardy part, the order-0
-    integral against arc length, and every order-j integral against the
-    j-th entry of the pair's own tuple; that route bounds its own blocks.
-    Each norm adds them in entry order, as :func:`tuple_norm_sq` of that
-    pair alone does.
+    One :func:`_exact_values` call gives the Hardy part, the order-0
+    integral against arc length, and the order-j integral against the
+    j-th entry; the norm adds them in entry order.
     """
-    if not all(f.exact for f, _ in pairs):
+    if not f.exact:
         raise ValueError("tuple norms are defined for exact polynomials only")
-    arc = CircleMeasure.arc_length()
-    values = iter(_exact_values([
-        (f, measure, j) for f, measures in pairs
-        for j, measure in enumerate((arc, *measures.entries))
-    ]))
-    totals = []
-    for _, measures in pairs:
-        total = next(values)[0]
-        for _ in measures.entries:
-            total += next(values)[0]
-        totals.append(total)
-    return totals
+    entries = (CircleMeasure.arc_length(), *measures.entries)
+    return sum(value for value, _ in _exact_values(
+        [(f, measure, j) for j, measure in enumerate(entries)]
+    ))
 
 
 def _atom_pair_matrix(lam: complex, order: int, degree: int) -> np.ndarray:
@@ -131,16 +115,6 @@ def gram_section(measures: MeasureTuple, degree: int) -> GramSection:
     return GramSection(measures, degree, matrix)
 
 
-def _shift(f: AnalyticFunction, k: int) -> AnalyticFunction:
-    if k == 0:
-        return f
-    return multiply(
-        f,
-        AnalyticFunction.monomial(k),
-        max_degree=f.degree + k,
-    )
-
-
 def forward_differences(beta: list[float], order: int) -> list[float]:
     """Order-th forward difference sequence of beta."""
     signs = [(-1) ** (order - q) * math.comb(order, q) for q in range(order + 1)]
@@ -158,33 +132,33 @@ def defect_sequence(
     For a length-m tuple of atomic or arc-length measures, beta_k is a
     polynomial of degree at most m in k, so the (m+1)-th differences
     vanish; the gap from zero measures how exactly the shift realizes the
-    (m+1)-isometry identity.  This is the one-item case of
-    :func:`_defect_sequences`.
+    (m+1)-isometry identity.  Every beta_k is a quadratic form on one
+    Gram section of degree deg f + max_order: with c the coefficients of
+    f and L = deg f + 1, beta_k = c^T G[k:k+L, k:k+L] conj(c), the real
+    part of the form on the diagonal block at k.  A beta_k beyond the
+    float range raises ``OverflowError`` naming k.
     """
-    (report,) = _defect_sequences([(f, measures, max_order)])
-    return report
-
-
-def _defect_sequences(items) -> list[DefectReport]:
-    """:func:`defect_sequence` of each (f, measures, max_order) item.
-
-    The norms of every shift z^k f of every item come from one
-    :func:`_tuple_norms` call, so the items may hold different tuples.
-    """
-    if any(max_order < 1 for _, _, max_order in items):
+    if max_order < 1:
         raise ValueError("max_order must be positive")
-    norms = iter(_tuple_norms([
-        (_shift(f, k), measures)
-        for f, measures, max_order in items for k in range(max_order + 1)
-    ]))
-    reports = []
-    for _, _, max_order in items:
-        beta = [next(norms) for _ in range(max_order + 1)]
-        differences = {
-            p: forward_differences(beta, p) for p in range(1, max_order + 1)
-        }
-        reports.append(DefectReport(beta, differences))
-    return reports
+    if not f.exact:
+        raise ValueError("defect sequences are defined for exact polynomials only")
+    size = f.degree + 1
+    # one errstate for the section and its forms, whose overflows raise by name
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = gram_section(measures, f.degree + max_order).matrix
+        beta = [
+            float((matrix[k:k + size, k:k + size] @ f.coeffs.conj() @ f.coeffs).real)
+            for k in range(max_order + 1)
+        ]
+    for k, value in enumerate(beta):
+        if not math.isfinite(value):
+            raise OverflowError(
+                f"overflow: beta_{k} = ||z^{k} f||^2 exceeds the float range"
+            )
+    differences = {
+        p: forward_differences(beta, p) for p in range(1, max_order + 1)
+    }
+    return DefectReport(beta, differences)
 
 
 def defect_kernel_check(
@@ -206,16 +180,14 @@ def defect_kernel_check(
 
 def _defect_kernel_checks(items) -> list[DefectKernelCheck]:
     """:func:`defect_kernel_check` of each (f, base, atomic) item, with
-    the defects of all items from one :func:`_defect_sequences` call and
-    their order-zero integrals from one :func:`_exact_values` call."""
+    one :func:`defect_sequence` per item and the order-zero integrals of
+    all items from one :func:`_exact_values` call."""
     if not all(atomic.is_atomic for _, _, atomic in items):
         raise ValueError("second tuple entry must be purely atomic")
-    reports = _defect_sequences([
-        (f, MeasureTuple((base, atomic)), 2) for f, base, atomic in items
-    ])
     zeros = _exact_values([(f, atomic, 0) for f, _, atomic in items])
     checks = []
-    for report, (order_zero, _) in zip(reports, zeros):
+    for (f, base, atomic), (order_zero, _) in zip(items, zeros):
+        report = defect_sequence(f, MeasureTuple((base, atomic)), 2)
         defect2 = report.differences[2][0]
         consistent = (defect2 <= VANISHING_TOLERANCE) == (
             order_zero <= VANISHING_TOLERANCE

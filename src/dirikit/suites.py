@@ -37,7 +37,7 @@ from .dirichlet import (
 )
 from .functions import AnalyticFunction, dilate, multiply, times_linear
 from .measures import Atom, CircleMeasure, MeasureTuple
-from .operators import _defect_kernel_checks, _defect_sequences
+from .operators import _defect_kernel_checks, defect_sequence
 from .quadrature import QuadratureSpec
 
 #: Highest degree of the random polynomials, of the monomials checked by
@@ -645,34 +645,26 @@ def run_isometry(rec: _Recorder, draws) -> None:
     polynomials of the shift power, so the (m+1)-th forward difference
     must vanish; for length-2 tuples with an atomic second entry the
     second difference must additionally be non-negative, checked at 1e-9.
-    The defect sequences of each batch of trials come from one
-    ``_defect_sequences`` call, one exact-route call over every shift.
+    Each defect sequence reads its norms as quadratic forms on one Gram
+    section (:func:`defect_sequence`).
     """
-    for batch in _batches(draws):
-        trials = []
-        for i, rng in batch:
-            m = int(rng.integers(1, 4))
-            entries = []
-            for _ in range(m):
-                kind = int(rng.integers(0, 4))
-                if kind == 0:
-                    entries.append(CircleMeasure.zero())
-                else:
-                    entries.append(_random_measure(rng))
-            measures = MeasureTuple(tuple(entries))
-            f = _random_polynomial(rng, max_degree=8)
-            pair = MeasureTuple((_random_measure(rng), _random_atomic_measure(rng)))
-            trials.append((i, m, f, measures, pair))
-        reports = iter(_defect_sequences([
-            item for _, m, f, measures, pair in trials
-            for item in ((f, measures, m + 1), (f, pair, 2))
-        ]))
-        for i, m, f, _, _ in trials:
-            report, paired = next(reports), next(reports)
-            record = {"trial": i, "m": m, "degree": f.degree}
-            rec.equality(record, report.differences[m + 1][0], 0.0)
-            defect = paired.differences[2][0]
-            rec.upper_bound({**record, "check": "positivity"}, -defect, 0.0, 1e-9)
+    for i, rng in draws:
+        m = int(rng.integers(1, 4))
+        entries = []
+        for _ in range(m):
+            kind = int(rng.integers(0, 4))
+            if kind == 0:
+                entries.append(CircleMeasure.zero())
+            else:
+                entries.append(_random_measure(rng))
+        measures = MeasureTuple(tuple(entries))
+        f = _random_polynomial(rng, max_degree=8)
+        pair = MeasureTuple((_random_measure(rng), _random_atomic_measure(rng)))
+        report = defect_sequence(f, measures, m + 1)
+        record = {"trial": i, "m": m, "degree": f.degree}
+        rec.equality(record, report.differences[m + 1][0], 0.0)
+        defect = defect_sequence(f, pair, 2).differences[2][0]
+        rec.upper_bound({**record, "check": "positivity"}, -defect, 0.0, 1e-9)
 
 
 @_suite(trials=100, tolerance=1e-9)
@@ -682,7 +674,8 @@ def run_vsubspace(rec: _Recorder, draws) -> None:
     Even trials force the root case by multiplying through the atom
     factors; odd trials use generic polynomials, which almost surely do
     not vanish at the atoms.  The checks of each batch of trials come
-    from one ``_defect_kernel_checks`` call (two exact-route calls).
+    from one ``_defect_kernel_checks`` call: one Gram section per trial
+    and one exact-route call for every order-zero integral.
     """
     for batch in _batches(draws):
         trials = []

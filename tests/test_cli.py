@@ -473,7 +473,7 @@ ONE_ATOM_TUPLE = '{"entries": [%s]}' % ATOM
 @pytest.mark.parametrize(
     "command, files, extra",
     [
-        # |1e200|^2 overflows a Python float inside the coefficient series
+        # |1e200|^2 overflows the quadratic form of beta_0
         ("defects", {"function": '{"coeffs": [[1e200, 0], [1e200, 0], [1, 0]]}',
                      "measures": ONE_ATOM_TUPLE}, []),
         # the Gram entries of a mass of 1e308 overflow to inf
@@ -502,10 +502,9 @@ BEYOND = '{"coeffs": [[1.7e308, 0], [1.7e308, 0]]}'
         ("eval", {"function": HUGE, "measure": ATOM}, ["--n", "1"],
          "error: overflow in the order-0 coefficient series: "
          "|c_0|^2 exceeds the float range\n"),
-        # the Hardy part of the tuple norm squares a_0 = 1e200
+        # the quadratic form for beta_0 = ||f||^2 squares a_0 = 1e200
         ("defects", {"function": HUGE, "measures": ONE_ATOM_TUPLE}, [],
-         "error: overflow in the order-0 coefficient series: "
-         "|c_0|^2 exceeds the float range\n"),
+         "error: overflow: beta_0 = ||z^0 f||^2 exceeds the float range\n"),
         ("eval", {"function": HUGE, "measure": ATOM},
          ["--n", "1", "--force-quadrature"],
          "error: overflow: |h|^2 exceeds the float range at node "),

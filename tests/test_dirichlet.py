@@ -17,7 +17,6 @@ from dirikit import (
     SingularIntegrandError,
     atomic_decompose,
     boundary_value,
-    defect_sequence,
     dilation_factor,
     dirichlet_atomic_order_zero,
     dirichlet_kernel_section,
@@ -1133,14 +1132,22 @@ def test_exact_route_blocks_stay_within_the_cell_budget(monkeypatch):
     assert [p.hex() for p in split.parts] == [p.hex() for p in whole.parts]
     assert split.value.hex() == whole.value.hex()
     monkeypatch.undo()
-    g = AnalyticFunction(rng.standard_normal(9) + 1j * rng.standard_normal(9))
-    tuples = MeasureTuple((measure, CircleMeasure(atoms[:3]), CircleMeasure.zero()))
-    default = defect_sequence(g, tuples, 60)
+    # one call over the 61 shifts z^k g of a degree-8 g, each against
+    # arc length at order 0 and a tuple's j-th entry at order j: columns
+    # of 9 to 69 rows
+    g = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    entries = (CircleMeasure.arc_length(), measure, CircleMeasure(atoms[:3]),
+               CircleMeasure.zero())
+    triples = [
+        (AnalyticFunction(np.concatenate([np.zeros(k), g])), entry, j)
+        for k in range(61) for j, entry in enumerate(entries)
+    ]
+    default = _exact_values(triples)
     monkeypatch.setattr(dirichlet, "_coefficient_block", spying)
     monkeypatch.setattr(quadrature, "_CELL_BUDGET", 256)
-    patched = defect_sequence(g, tuples, 60)
+    patched = _exact_values(triples)
     assert len(shapes) > 2 and blocks_within(256)
-    assert [b.hex() for b in patched.beta] == [b.hex() for b in default.beta]
+    assert [v.hex() for v, _ in patched] == [v.hex() for v, _ in default]
 
 
 def test_quotient_full_norm_is_the_sum_of_local_integrals():

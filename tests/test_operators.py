@@ -17,11 +17,7 @@ from dirikit import (
     gram_section,
     tuple_norm_sq,
 )
-from dirikit.operators import (
-    _atom_pair_matrix,
-    _defect_kernel_checks,
-    _defect_sequences,
-)
+from dirikit.operators import _atom_pair_matrix, _defect_kernel_checks
 
 
 def mono(k):
@@ -47,6 +43,8 @@ def test_tuple_norm_rejects_truncations():
     mt = MeasureTuple((CircleMeasure.arc_length(),))
     with pytest.raises(ValueError):
         tuple_norm_sq(AnalyticFunction((1.0,), exact=False), mt)
+    with pytest.raises(ValueError, match="exact polynomials only"):
+        defect_sequence(AnalyticFunction((1.0,), exact=False), mt, 2)
 
 
 def test_gram_arc_length_diagonal():
@@ -229,16 +227,10 @@ def _random_entry(rng):
 
 
 def test_batched_defects_are_each_items_own(monkeypatch):
-    # one batch of items with different tuples, zero entries among them,
-    # and max orders up to 39, whose shifts span many runs of a cell budget
-    # patched down, gives each item its defect_sequence and
-    # defect_kernel_check at the default budget, bit for bit
+    # one batch of kernel checks, rooted and not, whose order-zero
+    # integrals span many runs of a cell budget patched down, gives each
+    # item its defect_kernel_check at the default budget, bit for bit
     rng = np.random.default_rng(15)
-    items = []
-    for max_order in (1, 39, 2, 3, 17, 5, 1, 4, 2):
-        entries = [_random_entry(rng) for _ in range(int(rng.integers(1, 4)))]
-        entries[int(rng.integers(0, len(entries)))] = CircleMeasure.zero()
-        items.append((_random_function(rng, 8), MeasureTuple(tuple(entries)), max_order))
     checks = []
     for rooted in (True, False, True, False, False):
         atomic = CircleMeasure(_random_entry(rng).atoms or (Atom(1.0, 1.0),))
@@ -246,17 +238,11 @@ def test_batched_defects_are_each_items_own(monkeypatch):
         for atom in atomic.atoms if rooted else ():
             f = f * AnalyticFunction((-atom.point, 1.0))
         checks.append((f, _random_entry(rng), atomic))
-    sequences = [defect_sequence(*item) for item in items]
     kernel_checks = [defect_kernel_check(*item) for item in checks]
-    budget = 256
+    budget = 16
     monkeypatch.setattr(dirikit.quadrature, "_CELL_BUDGET", budget)
-    rows = max(f.degree + top for f, _, top in items) + 1
-    assert sum(top + 1 for _, _, top in items) > 4 * (budget // rows)
-    for report, alone in zip(_defect_sequences(items), sequences, strict=True):
-        assert [b.hex() for b in report.beta] == [b.hex() for b in alone.beta]
-        assert {p: [v.hex() for v in seq] for p, seq in report.differences.items()} == {
-            p: [v.hex() for v in seq] for p, seq in alone.differences.items()
-        }
+    rows = max(f.degree for f, _, _ in checks) + 1
+    assert sum(len(atomic.atoms) for _, _, atomic in checks) > 4 * (budget // rows)
     for check, alone in zip(_defect_kernel_checks(checks), kernel_checks, strict=True):
         assert check.defect2.hex() == alone.defect2.hex()
         assert check.order_zero.hex() == alone.order_zero.hex()
@@ -280,6 +266,39 @@ def test_gram_quadratic_form_is_tuple_norm():
     assert form.real == pytest.approx(norm, rel=1e-12)
     assert abs(form.imag) < 1e-12 * norm
     assert abs((a.conj() @ matrix @ a).real - norm) > 1.0
+    # each defect_sequence beta_k, a form on the section's block at k,
+    # against the exact route's tuple_norm_sq of the shift z^k f.  In exact
+    # arithmetic both are one sum.  On the section of the tuple with every
+    # atom moved to z = 1 (its masses merged) each term of that sum is
+    # non-negative, so S = |c|^T A |c| on that section's block bounds the
+    # sum of the terms' magnitudes on either path.  Each path chains at
+    # most 4 recurrences of D + 1 = deg f + k + 1 steps (the form: the
+    # powers of lam, the pair sum over the quotient basis, the row sums and
+    # the dot; the exact route: Horner, the division, the binomial sum and
+    # the squares) and one addition per part, Hardy part included; a
+    # complex step rounds by at most 2u.  So each path is within
+    # 2u (4 (D + 1) + parts) S of the sum, and the two within twice that.
+    for case in range(39):
+        entries = [_random_entry(rng) for _ in range(int(rng.integers(1, 4)))]
+        mt = MeasureTuple(tuple(entries))
+        at_one = MeasureTuple(tuple(
+            CircleMeasure((Atom(0.0, sum(a.mass for a in e.atoms)),) if e.atoms else (),
+                          e.lebesgue)
+            for e in entries
+        ))
+        parts = 1 + sum(len(e.parts) for e in entries)
+        # degrees 0-12, three times each
+        f = AnalyticFunction(rng.uniform(-1, 1, case % 13 + 1)
+                             + 1j * rng.uniform(-1, 1, case % 13 + 1))
+        c = np.abs(f.coeffs)
+        top = len(entries) + 1
+        absolute = gram_section(at_one, f.degree + top).matrix.real
+        beta = defect_sequence(f, mt, top).beta
+        for k in range(top + 1):
+            shifted = AnalyticFunction(np.concatenate([np.zeros(k), f.coeffs]))
+            block = absolute[k:k + f.degree + 1, k:k + f.degree + 1]
+            bound = 4 * 2.0**-53 * (4 * (f.degree + k + 1) + parts) * (c @ block @ c)
+            assert abs(beta[k] - tuple_norm_sq(shifted, mt)) <= bound
 
 
 def test_atom_pair_matrix_matches_the_row_by_row_basis():
