@@ -8,9 +8,9 @@ Subcommands::
     defects    shifted-norm defect report for a function and tuple
     verify     run one named verification suite, or all of them
 
-Reports are JSON unless the output path ends in ``.csv``.  Identical
-(command, seed) invocations produce byte-identical report files; timing
-goes to stderr only.
+``verify`` reports are CSV where ``--out`` ends in ``.csv``, else JSON;
+``gram`` writes CSV and the rest JSON.  Identical (command, seed)
+invocations produce byte-identical report files; timing to stderr only.
 """
 
 from __future__ import annotations
@@ -72,7 +72,10 @@ def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        try:
+            Path(out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {out}: {exc}") from exc
 
 
 def _reports_csv(reports: list[VerificationReport]) -> str:

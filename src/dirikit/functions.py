@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .measures import _json_number
 from .quadrature import _extrapolation_weights
 
 #: Degree at which products are truncated unless the caller says otherwise.
@@ -99,7 +100,8 @@ class AnalyticFunction:
 
     @classmethod
     def from_json(cls, payload: dict) -> AnalyticFunction:
-        coeffs = [complex(re, im) for re, im in payload["coeffs"]]
+        coeffs = [complex(_json_number(re, "coeffs"), _json_number(im, "coeffs"))
+                  for re, im in payload["coeffs"]]
         exact = payload.get("exact", True)
         if not isinstance(exact, bool):
             raise TypeError("'exact' must be true or false")

@@ -19,6 +19,13 @@ from functools import cached_property
 ATOM_ANGLE_TOLERANCE = 1e-9
 
 
+def _json_number(value, field: str) -> float:
+    """``value`` as a float if it is a JSON number, not a bool or a str."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"'{field}' must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class Atom:
     """Point mass on the circle, located at exp(i*angle)."""
@@ -118,10 +125,10 @@ class CircleMeasure:
     @classmethod
     def from_json(cls, payload: dict) -> CircleMeasure:
         atoms = tuple(
-            Atom(float(a["angle"]), float(a["mass"]))
+            Atom(_json_number(a["angle"], "angle"), _json_number(a["mass"], "mass"))
             for a in payload.get("atoms", [])
         )
-        return cls(atoms, float(payload.get("lebesgue", 0.0)))
+        return cls(atoms, _json_number(payload.get("lebesgue", 0.0), "lebesgue"))
 
 
 @dataclass(frozen=True)

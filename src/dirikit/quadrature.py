@@ -16,16 +16,12 @@ convolve with the Poisson kernel's known coefficients r^|d|.  The angular
 step is then exact for band-limited integrands and the radial profile is
 smooth on the whole of [0, 1]; no clipping is needed.  The samples do not
 depend on the atom, so a whole measure costs one sampling per grid.
-``_poisson_energies`` runs it on stacked samplings of many functions: one
-check of the samples (``_checked_squares``), then one contraction of the
-stack (``_poisson_contractions``): one angular sum for the arc-length
-parts; for the atoms one real FFT over the stack, one product with the
-half-spectrum weights and one radial sum, which leave one row of
-frequencies per sampling, then one phase product and frequency sum for
-every atom at once.  ``dirichlet._quadrature_values`` samples the stack
-of polynomials with one inverse FFT per ring (``_ring_samples``);
-``poisson_weighted_energy`` is the front for a black-box h, one sampling
-per grid.
+``_poisson_energies`` checks stacked samplings of many functions
+(``_checked_squares``) and contracts the stack against every part at
+once, arc length and atoms alike (``_poisson_contractions``).
+``dirichlet._quadrature_values`` samples the stack of polynomials with
+one inverse FFT per ring (``_ring_samples``); ``poisson_weighted_energy``
+is the front for a black-box h, one sampling per grid.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .measures import Arc, Atom, CircleMeasure
+from .measures import Atom, CircleMeasure
 
 
 class SingularIntegrandError(ArithmeticError):
@@ -114,8 +110,7 @@ class QuadratureSpec:
 
 @lru_cache(maxsize=64)
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
 
 @lru_cache(maxsize=64)
 def _angles(m: int) -> np.ndarray:
@@ -353,47 +348,37 @@ def _poisson_contractions(
 
     ``squares[j]`` is sampled on the nodes of the ``(radial, angular)``
     grid of its shape and integrated against each of
-    ``measures[j].parts``, in that order.  An arc-length part sums the
-    angular mean of its sampling against the radial weights wr (1 -
-    r^2)^(order-1).  An atom at angle a sums the exact angular integral of
-    |h|^2 times its Poisson kernel, sum_d r^|d| e^(i d a) S(r, d) / A over
-    the A frequencies of the DFT S(r, .) of each ring, against the same
-    weights.  |h|^2 is real, so S(r, -d) = conj S(r, d), and the terms at
-    d and -d add up to twice the real part of one: the sum runs over the
+    ``measures[j].parts``, in that order.  A part's Poisson integral is
+    sum_d p_d r^|d| e^(i d theta): p_d = e^(i d a) for an atom at angle a,
+    and for arc length, whose Poisson integral is 1, p_0 = 1 alone.  With
+    S(r, .) the DFT of ring r, the part's sum is the exact angular
+    integral sum_d r^|d| p_d S(r, d) / A over the A frequencies, against
+    the radial weights wr (1 - r^2)^(order-1).  |h|^2 is real, so the
+    terms at d and -d are conjugates, and the sum runs over the
     half-spectrum d = 0 .. A // 2 of ``np.fft.rfft`` with the weights
-    W(r, d) of :func:`_spectral_weights`, whose c_d is 1 where no partner
-    term exists (d = 0 and, for an even A, the Nyquist term).  Both sums
-    are finite, so the radial sum goes first: T_d = sum_r W(r, d) S(r, d)
-    is one row per sampling, whatever its atoms, and an atom's sum is
-    Re sum_d T_d e^(i d a), one phase table, gathered product and last-axis
-    sum for every atom of the call.  Every sampling gets the floats it
-    would get alone.  A part whose sum leaves the float range raises
-    ``OverflowError``.
+    W(r, d) of :func:`_spectral_weights`.  Both sums are finite, so the
+    radial sum goes first: T_d = sum_r W(r, d) S(r, d), one row per
+    sampling, and a part's sum is Re sum_d T_d p_d, one phase table,
+    product and last-axis sum for every part; arc length's is Re T_0.
+    Every sampling gets the floats it would get alone.  A part whose sum
+    leaves the float range raises ``OverflowError``.
     """
     radial, angular = squares.shape[-2:]
-    r, wr, _, _ = _poisson_grid(radial, angular)
     # sums[i] integrates squares[owners[i]] against the part columns[i]
-    owners = np.array(
-        [j for j, measure in enumerate(measures) for _ in measure.parts], dtype=int
-    )
+    owners = np.repeat(np.arange(len(measures)), [len(m.parts) for m in measures])
     columns = [part for measure in measures for part in measure.parts]
-    arcs = [i for i, part in enumerate(columns) if isinstance(part, Arc)]
     atoms = [i for i, part in enumerate(columns) if isinstance(part, Atom)]
-    sums = np.empty(len(columns))  # a measure may have no part
+    angles = np.array([columns[i].angle for i in atoms])
+    # arc length's Poisson integral is 1, whose one coefficient is d = 0
+    phases = np.zeros((len(columns), angular // 2 + 1), dtype=complex)
+    phases[:, 0] = 1.0
+    phases[atoms] = np.exp(1j * np.arange(angular // 2 + 1) * angles[:, None])
     # finite squares may still overflow a sum, which the check below names
     with np.errstate(over="ignore", invalid="ignore"):
-        if arcs:
-            # the floats of squares.mean(axis=-1)
-            profiles = squares.sum(axis=-1)[owners[arcs]] / angular
-            weight = (1.0 - r**2) ** (order - 1)
-            sums[arcs] = (wr * profiles * weight).sum(axis=-1)
-        if atoms:
-            spectra = np.fft.rfft(squares, axis=-1)
-            spectra *= _spectral_weights(radial, angular, order)
-            rows = spectra.sum(axis=-2)
-            angles = np.array([columns[i].angle for i in atoms])
-            phases = np.exp(1j * np.arange(angular // 2 + 1) * angles[:, None])
-            sums[atoms] = (rows[owners[atoms]] * phases).sum(axis=-1).real
+        spectra = np.fft.rfft(squares, axis=-1)
+        spectra *= _spectral_weights(radial, angular, order)
+        rows = spectra.sum(axis=-2)
+        sums = (rows[owners] * phases).sum(axis=-1).real
     if not np.isfinite(sums).all():
         raise OverflowError(
             f"overflow: the order-{order} energy on the {radial}x{angular} "
@@ -457,11 +442,11 @@ def poisson_weighted_energy(
     Returns one (value, error estimate) pair per part, each at unit mass,
     in the order of :attr:`CircleMeasure.parts`.  :meth:`CircleMeasure.weigh`
     adds them up to the integral against the whole measure.  Each of the
-    two grids is sampled once and contracted against all parts at once.
-    This is the black-box front of the contraction that
-    ``dirichlet._quadrature_values`` runs on stacked samplings.  A part
-    whose sum leaves the float range raises ``OverflowError`` naming the
-    order and the grid.
+    two grids is sampled once and contracted against all parts at once,
+    each a row of one phase table.  This is the black-box front of the
+    contraction that ``dirichlet._quadrature_values`` runs on stacked
+    samplings.  A part whose sum leaves the float range raises
+    ``OverflowError`` naming the order and the grid.
 
     The rule is exact for a polynomial h of degree D on a grid with
     ``angular >= 2 D + 1`` and ``radial >= D + order``.  Angularly, |h|^2

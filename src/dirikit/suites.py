@@ -199,6 +199,8 @@ def _suite(trials: int, tolerance: float, orders: list[int] | None = None,
             trials = default_trials if trials is None else trials
             if trials < 0:
                 raise ValueError(f"{name}: trial count must be non-negative")
+            if seed < 0:
+                raise ValueError(f"{name}: the seed must be non-negative, got {seed}")
             if orders is not None and default_orders is None:
                 raise ValueError(f"{name}: this suite takes no orders")
             if orders is not None and min(orders, default=-1) < lowest_order:

@@ -214,20 +214,46 @@ def test_order_zero_rejected_with_exit_two(square_file, atom_file):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["verify", "atomic", "--n", "3"],
-        ["verify", "kernel", "--quad", "16,16"],
-        ["verify", "all", "--n", "2"],
-        ["verify", "douglas", "--n", "0"],
-        ["verify", "douglas", "--trials", "-3"],
-        ["verify", "douglas", "--tol", "nan"],
+        (["verify", "atomic", "--n", "3"], "orders"),
+        (["verify", "kernel", "--quad", "16,16"], "quadrature spec"),
+        (["verify", "all", "--n", "2"], "--n"),
+        (["verify", "douglas", "--n", "0"], "orders"),
+        (["verify", "douglas", "--trials", "-3"], "trial count"),
+        (["verify", "douglas", "--tol", "nan"], "tolerance"),
+        (["verify", "douglas", "--seed", "-1"], "seed"),
     ],
+    ids=[f"argv{i}" for i in range(7)],
 )
-def test_verify_rejects_ignored_or_invalid_arguments(argv, capsys):
+def test_verify_rejects_ignored_or_invalid_arguments(argv, named, capsys):
+    # the message names the argument at fault
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("target", ["missing/report.json", "."])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--function", "square", "--measure", "atom", "--n", "1"],
+        ["gram", "--measures", "tuple", "--degree", "2"],
+        ["verify", "monomial", "--trials", "1"],
+        ["verify", "all", "--trials", "0"],
+    ],
+    ids=["eval", "gram", "verify", "verify-all"],
+)
+def test_an_unwritable_out_path_exits_two(argv, target, square_file, atom_file,
+                                          tuple_file, tmp_path, capsys):
+    # a missing directory or a directory itself cannot take the report;
+    # verify has written its status lines to stderr by then
+    files = {"square": square_file, "atom": atom_file, "tuple": tuple_file}
+    out = str(tmp_path / target)
+    assert main([files.get(arg, arg) for arg in argv] + ["--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines()[-1].startswith(f"error: cannot write {out}: ")
     assert "Traceback" not in err
 
 
@@ -417,6 +443,8 @@ ATOM = '{"atoms": [{"angle": 0.0, "mass": 1.0}], "lebesgue": 0.0}'
         pytest.param('{"coeffs": [[1' + "0" * 400 + ', 0]]}', id="huge-int"),
         '{"exact": true}',
         '{"coeffs": [[1, 0]], "exact": "false"}',
+        '{"coeffs": [[true, false]]}',
+        '{"coeffs": [[1, 0], [0, true]]}',
         '[[1, 0]]',
         '"coeffs"',
         b'{"coeffs": [[1, 0]], "exact": "\xff"}',
@@ -432,7 +460,8 @@ def test_malformed_function_files_exit_two(function):
     "measure",
     ['[]', '{"atoms": [[0, 1]]}', '{"atoms": [{"angle": 0}]}',
      pytest.param('{"lebesgue": 1' + "0" * 400 + "}", id="huge-int"),
-     '{"atoms": 3}'],
+     '{"atoms": 3}', '{"atoms": [{"angle": 0, "mass": true}]}',
+     '{"lebesgue": "1.5"}', '{"atoms": [{"angle": "0.3", "mass": 1}]}'],
 )
 def test_malformed_measure_files_exit_two(measure):
     code, err = _eval_exit('{"coeffs": [[0, 0], [1, 0]]}', measure)

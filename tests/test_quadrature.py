@@ -309,29 +309,49 @@ def test_half_spectrum_contraction_matches_the_full_spectrum_within_the_derived_
     # its radial sum in order (R - 1) and pairwise frequency sum; and the
     # division by n! (n-1)! (1 each).  Random squares that are not
     # band-limited fill every frequency, the Nyquist term included.
+    # An arc-length sum is Re T_0, whose terms t = wr w s_j / A are all
+    # non-negative, so sum |t| is the sum itself.  Against the angular
+    # mean it is checked with: the mean's pairwise sum and 1 / A, its wr
+    # and w products and pairwise radial sum (ceil log2 A + 3 + ceil log2
+    # R); the FFT's DC sum, which the atom bound's FFT levels cover, the
+    # table and its product with the spectrum (4), the radial sum in order
+    # (R - 1), and the phase product and frequency sum, which meet only
+    # the exact 1 and 0 of the arc's row but are counted as for an atom;
+    # and the division by n! (n-1)! (1 each).
     u = 2.0**-53
     rng = np.random.default_rng(25)
     for radial, angular in ((8, 16), (8, 17), (12, 33), (96, 256)):
         r, wr, _, _ = _poisson_grid(radial, angular)
         fft_depth = sum(p + 3 for p in _prime_factors(angular))
         log_a = math.ceil(math.log2(angular))
-        depth = (fft_depth + 7 + log_a + math.ceil(math.log2(radial)) + 1) + (
+        log_r = math.ceil(math.log2(radial))
+        depth = (fft_depth + 7 + log_a + log_r + 1) + (
             fft_depth + 4 + 3 + radial - 1 + log_a + 1
+        )
+        arc_depth = (log_a + 3 + log_r + 1) + (
+            fft_depth + 4 + radial - 1 + 3 + log_a + 1
         )
         freqs = np.fft.fftfreq(angular, 1.0 / angular)
         kernel_sums = (r[:, None] ** np.abs(freqs)).sum(axis=-1)
-        squares = rng.random((3, radial, angular))
+        squares = rng.random((4, radial, angular))
         for order in (1, 3):
             norm = math.factorial(order) * math.factorial(order - 1)
             weight = (1.0 - r**2) ** (order - 1)
             measures = [
-                CircleMeasure(tuple(Atom(a, 1.0) for a in rng.uniform(0, 2 * math.pi, k)))
-                for k in (1, 4, 2)
+                CircleMeasure(
+                    tuple(Atom(a, 1.0) for a in rng.uniform(0, 2 * math.pi, k)), arc
+                )
+                for k, arc in ((1, 0.0), (4, 1.5), (2, 0.0), (0, 1.0))
             ]
             batch = _poisson_contractions(squares, order, measures)
             for square, measure, values in zip(squares, measures, batch):
                 # a batch of samplings gives each the floats of its lone call
                 assert values == _poisson_contractions(square[None], order, [measure])[0]
+                if measure.lebesgue > 0:
+                    arc, *values = values
+                    mean = (wr * weight * square.mean(axis=-1)).sum() / norm
+                    arc_terms = (wr * weight * square.sum(axis=-1)).sum() / angular
+                    assert abs(arc - mean) <= arc_depth * u * arc_terms / norm
                 angles = [atom.angle for atom in measure.atoms]
                 terms = (wr * weight * square.sum(axis=-1) * kernel_sums).sum() / angular
                 for got, full in zip(values, _full_spectrum_sums(square, order, angles)):
