@@ -68,6 +68,18 @@ def _dump_json(payload) -> str:
     return text + "\n"
 
 
+def _check_out(out: str | None) -> None:
+    """Refuse an ``--out`` path that cannot take a file before any work:
+    one whose directory is missing, or a directory itself."""
+    if out is None:
+        return
+    path = Path(out)
+    if path.is_dir():
+        raise InputError(f"cannot write {out}: it is a directory")
+    if not path.parent.is_dir():
+        raise InputError(f"cannot write {out}: no directory {path.parent}")
+
+
 def _write_text(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -273,6 +285,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: argument {option}: expected one argument", file=sys.stderr)
             return 2
     try:
+        _check_out(args.out)
         return args.handler(args)
     # bad input, or a computation that input makes fail, overflow or
     # need more memory than there is

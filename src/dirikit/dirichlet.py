@@ -24,6 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import quadrature
 from .functions import (
     AnalyticFunction,
     _coefficient_block,
@@ -183,7 +184,12 @@ def _series_sums(functions, order: int) -> list[float]:
 def _blocks(functions):
     """(run, *:func:`_coefficient_block`) of each ``_runs`` of functions."""
     lengths = [len(f.coeffs) for f in functions]
-    for run in _runs(len(functions), max(lengths, default=1)):
+    rows = max(lengths, default=1)
+    # one run holds every column: no split, no slices
+    if functions and len(functions) * rows <= quadrature._CELL_BUDGET:
+        yield slice(0, len(functions)), *_coefficient_block(functions, lengths)
+        return
+    for run in _runs(len(functions), rows):
         yield run, *_coefficient_block(functions[run], lengths[run])
 
 
@@ -588,46 +594,60 @@ def _monomial_weights(order: int, top: int, full_norm: bool) -> list[int]:
     return weights
 
 
+@lru_cache(maxsize=256)
+def _multiplier_ratios(
+    order: int, section_degree: int, degree: int, full_norm: bool
+) -> tuple[np.ndarray, tuple[float, ...]]:
+    """Weight ratios of the multiplication section and of its tail bound.
+
+    The read-only table sqrt(w_{k+p} / w_k), one row per diagonal
+    p = 0 .. ``degree`` and one column per section column k, and the
+    tail ratios sqrt(w_{N+1+p} / w_{N+1}) as floats, N the section
+    degree.  Each integer ratio is rounded once.
+    """
+    weights = _monomial_weights(order, section_degree + 1 + degree, full_norm)
+    ks = range(0 if full_norm else order, section_degree + 1)
+    ratios = np.sqrt(
+        [[weights[k + p] / weights[k] for k in ks] for p in range(degree + 1)]
+    )
+    ratios.setflags(write=False)
+    start = section_degree + 1
+    tail = tuple(math.sqrt(weights[start + p] / weights[start])
+                 for p in range(degree + 1))
+    return ratios, tail
+
+
 def _multiplication_section(
     phi: AnalyticFunction, order: int, section_degree: int, full_norm: bool
-) -> tuple[np.ndarray, list[int]]:
+) -> np.ndarray:
     """Matrix of multiplication by phi from the monomial section.
 
     Columns are the orthonormal monomials w_k^-1/2 z^k for k = j .. N (or
     k = 0 .. N for the full norm), rows the same basis up to N + deg(phi);
-    entries are phi_{l-k} sqrt(w_l / w_k).  The weight row, which runs up
-    to N + 1 + deg(phi), is returned alongside for the tail bound.
+    entries are phi_{l-k} sqrt(w_l / w_k), from :func:`_multiplier_ratios`.
     """
     if not phi.exact:
         raise ValueError("multiplier estimates need an exact polynomial")
     d = phi.degree
     if section_degree < d + order:
         raise ValueError("section degree must reach deg(phi) + order")
-    weights = _monomial_weights(order, section_degree + 1 + d, full_norm)
-    first = 0 if full_norm else order
-    ks = range(first, section_degree + 1)
-    # one row per diagonal p; the integer ratios are rounded once
-    ratios = np.sqrt(
-        [[weights[k + p] / weights[k] for k in ks] for p in range(d + 1)]
-    )
-    columns = np.arange(len(ks))
-    matrix = np.zeros((len(ks) + d, len(ks)), dtype=complex)
+    ratios, _ = _multiplier_ratios(order, section_degree, d, full_norm)
+    width = ratios.shape[1]
+    columns = np.arange(width)
+    matrix = np.zeros((width + d, width), dtype=complex)
     matrix[columns + np.arange(d + 1)[:, None], columns] = (
         phi.coeffs[:, None] * ratios
     )
-    return matrix, weights
+    return matrix
 
 
 def _multiplier_upper(
     phi: AnalyticFunction, order: int, section_degree: int, full_norm: bool
 ) -> float:
-    matrix, weights = _multiplication_section(phi, order, section_degree, full_norm)
+    matrix = _multiplication_section(phi, order, section_degree, full_norm)
     section = float(np.linalg.norm(matrix, ord=2))
-    start = section_degree + 1
-    tail = sum(
-        abs(c) * math.sqrt(weights[start + p] / weights[start])
-        for p, c in enumerate(phi.coeffs.tolist())
-    )
+    _, ratios = _multiplier_ratios(order, section_degree, phi.degree, full_norm)
+    tail = sum(abs(c) * ratio for c, ratio in zip(phi.coeffs.tolist(), ratios))
     return math.sqrt(section**2 + tail**2)
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .measures import _json_number
+from .measures import _json_number, _json_object
 from .quadrature import _extrapolation_weights
 
 #: Degree at which products are truncated unless the caller says otherwise.
@@ -100,6 +100,7 @@ class AnalyticFunction:
 
     @classmethod
     def from_json(cls, payload: dict) -> AnalyticFunction:
+        payload = _json_object(payload, ("coeffs", "exact"), "a function")
         coeffs = [complex(_json_number(re, "coeffs"), _json_number(im, "coeffs"))
                   for re, im in payload["coeffs"]]
         exact = payload.get("exact", True)

@@ -26,6 +26,17 @@ def _json_number(value, field: str) -> float:
     return float(value)
 
 
+def _json_object(payload, keys: tuple[str, ...], kind: str) -> dict:
+    """``payload`` if it is a JSON object with no key outside ``keys``."""
+    if not isinstance(payload, dict):
+        raise TypeError(f"{kind} must be a JSON object, got {payload!r}")
+    for key in payload:
+        if key not in keys:
+            expected = ", ".join(repr(k) for k in keys)
+            raise ValueError(f"unknown key {key!r} in {kind} (expected {expected})")
+    return payload
+
+
 @dataclass(frozen=True)
 class Atom:
     """Point mass on the circle, located at exp(i*angle)."""
@@ -124,9 +135,11 @@ class CircleMeasure:
 
     @classmethod
     def from_json(cls, payload: dict) -> CircleMeasure:
+        payload = _json_object(payload, ("atoms", "lebesgue"), "a measure")
         atoms = tuple(
             Atom(_json_number(a["angle"], "angle"), _json_number(a["mass"], "mass"))
-            for a in payload.get("atoms", [])
+            for a in (_json_object(a, ("angle", "mass"), "an atom")
+                      for a in payload.get("atoms", []))
         )
         return cls(atoms, _json_number(payload.get("lebesgue", 0.0), "lebesgue"))
 
@@ -150,6 +163,7 @@ class MeasureTuple:
 
     @classmethod
     def from_json(cls, payload: dict) -> MeasureTuple:
+        payload = _json_object(payload, ("entries",), "a measure tuple")
         return cls(tuple(CircleMeasure.from_json(m) for m in payload["entries"]))
 
 

@@ -5,6 +5,25 @@ against the j-th measure) makes multiplication by z an (m+1)-isometry for
 an m-tuple; everything here probes that structure through monomial Gram
 sections and forward differences of ||z^k f||^2.  All inner products come
 from exact coefficient combinatorics; no quadrature enters this module.
+
+The Gram section G[j, k] = <z^j, z^k> is linear in j.  Its Hardy part is
+the identity.  Against arc length the order-n integral pairs z^j with
+z^k by binom(k, n) on the diagonal alone.  At an atom lam the local
+Douglas formula pairs z^j with z^k through the quotients
+g_j = (z^j - lam^j) / (z - lam) = sum_{t<j} lam^(j-1-t) z^t, one order
+down against arc length:
+
+    sum_{t < min(j, k)} lam^(j-1-t) conj(lam)^(k-1-t) binom(t, n-1)
+        = lam^(j-k) binom(min(j, k), n),
+
+since |lam| = 1 and, by the hockey-stick identity,
+sum_{t < s} binom(t, n-1) = binom(s, n).  Arc length is the same form
+with the moments of the point 0.  So tuple entry n adds B_n * T(h)
+entry by entry: B_n[j, k] = binom(min(j, k), n), and T(h) is the
+Hermitian Toeplitz matrix of the entry's moments h_d = sum over its
+parts of mass * point^d (d >= 0), h_(j-k) on and below the diagonal and
+conj(h_(k-j)) above it.  That is one moment vector and one product of
+(degree+1)^2 entries per tuple entry, whatever the number of atoms.
 """
 
 from __future__ import annotations
@@ -80,19 +99,21 @@ def tuple_norm_sq(f: AnalyticFunction, measures: MeasureTuple) -> float:
     ))
 
 
-def _atom_pair_matrix(lam: complex, order: int, degree: int) -> np.ndarray:
-    """Polarized atom inner products of monomials via the quotient path.
+def _moments(measure: CircleMeasure, size: int) -> np.ndarray:
+    """Moments h_d = sum of mass * point^d over the parts, d < ``size``.
 
-    ``lam`` is the atom's :attr:`Atom.point`.  The monomial z^k splits
-    at the atom as lam^k + (z - lam) g_k with g_k = sum_{t<k}
-    lam^(k-1-t) z^t, and the pairing of z^j with z^k is the order-(n-1)
-    arc-length pairing of g_j with g_k.
+    Row p of one table is part p's mass times the powers of its
+    :attr:`Atom.point`, by one running product along the row, so the
+    rounding error of point^d grows with d alone; arc length is the
+    point 0, whose powers are e_0.  The rows are added in part order.
     """
-    powers = lam ** np.arange(degree)
-    exponents = np.arange(degree + 1)[:, None] - 1 - np.arange(degree)
-    basis = np.where(exponents >= 0, powers[np.maximum(exponents, 0)], 0)
-    weights = _binomial_row(order - 1, degree)
-    return (basis * weights) @ basis.conj().T
+    heads = np.array([(part.mass, 0.0 if isinstance(part, Arc) else part.point)
+                      for part in measure.parts], dtype=complex).reshape(-1, 2)
+    table = np.empty((len(heads), size), dtype=complex)
+    table[:, :1] = heads[:, :1]
+    table[:, 1:] = heads[:, 1:]
+    np.multiply.accumulate(table, axis=1, out=table)
+    return table.sum(axis=0)
 
 
 def gram_section(measures: MeasureTuple, degree: int) -> GramSection:
@@ -100,18 +121,29 @@ def gram_section(measures: MeasureTuple, degree: int) -> GramSection:
 
     Entry [j, k] is <z^j, z^k>, linear in the first slot, so
     ||sum a_k z^k||^2 = sum_{j,k} a_j G[j, k] conj(a_k), that is
-    a^T G conj(a) and not a^H G a.
+    a^T G conj(a) and not a^H G a.  The Hardy part is the identity, and
+    tuple entry n adds B_n * T(h), entry by entry: B_n[j, k] =
+    binom(min(j, k), n) and T(h) the Hermitian Toeplitz matrix of the
+    entry's moments (:func:`_moments`), h_(j-k) on and below the
+    diagonal and conj(h_(k-j)) above it; the module docstring derives it.
     """
     if degree < 1:
         raise ValueError("section degree must be positive")
     size = degree + 1
     matrix = np.eye(size, dtype=complex)
-    for j, measure in enumerate(measures.entries, start=1):
-        for part in measure.parts:
-            if isinstance(part, Arc):
-                matrix += part.mass * np.diag(_binomial_row(j, size))
-            else:
-                matrix += part.mass * _atom_pair_matrix(part.point, j, degree)
+    for n, measure in enumerate(measures.entries, start=1):
+        moments = _moments(measure, size)
+        # line[degree + d] = h_d for |d| <= degree, with h_(-d) = conj(h_d)
+        line = np.concatenate((moments[:0:-1].conj(), moments))
+        # a view of line with entry [j, k] at line[degree + j - k]
+        step = line.itemsize
+        toeplitz = np.ndarray((size, size), complex, line, degree * step, (step, -step))
+        # B_n vanishes where min(j, k) < n, and those entries are left
+        # alone: an infinite moment times 0 would make them NaN.  From n
+        # on, binom(t, n) is increasing in t, so the smaller of two rows'
+        # binomials is the one at min(j, k).
+        row = _binomial_row(n, size)[n:]
+        matrix[n:, n:] += np.minimum.outer(row, row) * toeplitz[n:, n:]
     return GramSection(measures, degree, matrix)
 
 

@@ -247,14 +247,14 @@ def test_verify_rejects_ignored_or_invalid_arguments(argv, named, capsys):
 )
 def test_an_unwritable_out_path_exits_two(argv, target, square_file, atom_file,
                                           tuple_file, tmp_path, capsys):
-    # a missing directory or a directory itself cannot take the report;
-    # verify has written its status lines to stderr by then
+    # a missing directory or a directory itself cannot take the report,
+    # and main refuses it before any work: verify prints no status line
     files = {"square": square_file, "atom": atom_file, "tuple": tuple_file}
     out = str(tmp_path / target)
     assert main([files.get(arg, arg) for arg in argv] + ["--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.splitlines()[-1].startswith(f"error: cannot write {out}: ")
-    assert "Traceback" not in err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 def test_verify_all_accepts_quad(capsys):
@@ -467,6 +467,32 @@ def test_malformed_measure_files_exit_two(measure):
     code, err = _eval_exit('{"coeffs": [[0, 0], [1, 0]]}', measure)
     assert code == 2
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, files, extra, key",
+    [
+        ("eval", {"function": '{"coeffs": [[0, 0], [1, 0]]}', "measure": '{"lebesgu": 1.0}'},
+         ["--n", "1"], "lebesgu"),
+        ("eval", {"function": '{"coeffs": [[0, 0], [1, 0]]}',
+                  "measure": '{"atoms": [{"angle": 0, "mass": 1, "weight": 2}]}'},
+         ["--n", "1"], "weight"),
+        ("eval", {"function": '{"coeffs": [[0, 0], [1, 0]], "exakt": false}',
+                  "measure": ATOM}, ["--n", "1"], "exakt"),
+        ("gram", {"measures": '{"entries": [%s], "entry": []}' % ATOM},
+         ["--degree", "2"], "entry"),
+        ("gram", {"measures": '{"entries": [{"lebesgue": 1, "mass": 2}]}'},
+         ["--degree", "2"], "mass"),
+    ],
+    ids=["measure", "atom", "function", "tuple", "tuple-entry"],
+)
+def test_an_unknown_json_key_exits_two_naming_it(command, files, extra, key):
+    # a misspelt key would otherwise be read as a missing one: the
+    # measure {"lebesgu": 1.0} as the zero measure
+    code, err = _cli_exit(command, files, *extra)
+    assert code == 2
+    assert err.startswith("error:") and f"unknown key {key!r}" in err
+    assert "Traceback" not in err
 
 
 json_values = st.recursive(

@@ -40,7 +40,9 @@ from dirikit import dirichlet, quadrature
 from dirikit.dirichlet import (
     _exact_values,
     _local_integrals,
+    _monomial_weights,
     _multiplication_section,
+    _multiplier_ratios,
     _negative_binomial_sum,
     _quadrature_values,
 )
@@ -508,7 +510,7 @@ def multiplier_seminorm_estimate(phi, order, section_degree):
     """Reference: the finite-section lower bound for the multiplier
     seminorm, the largest singular value of multiplication by phi on the
     monomial section; nondecreasing in the section degree."""
-    matrix, _ = _multiplication_section(phi, order, section_degree, False)
+    matrix = _multiplication_section(phi, order, section_degree, False)
     return float(np.linalg.norm(matrix, ord=2))
 
 
@@ -588,6 +590,49 @@ def test_multiplier_norm_upper_dominates_larger_sections():
     for order in (1, 2, 3):
         upper = multiplier_norm_upper(phi, order, 48)
         assert _norm_section_estimate(phi, order, 96) <= upper
+
+
+def _uncached_multiplier_upper(phi, order, section_degree, full_norm):
+    """The multiplier bound with its weight ratios built afresh on each
+    call, in the arithmetic of :func:`_multiplier_ratios`."""
+    d = phi.degree
+    weights = _monomial_weights(order, section_degree + 1 + d, full_norm)
+    ks = range(0 if full_norm else order, section_degree + 1)
+    ratios = np.sqrt([[weights[k + p] / weights[k] for k in ks] for p in range(d + 1)])
+    matrix = np.zeros((len(ks) + d, len(ks)), dtype=complex)
+    for p in range(d + 1):
+        for column in range(len(ks)):
+            matrix[column + p, column] = phi.coeffs[p] * ratios[p, column]
+    section = float(np.linalg.norm(matrix, ord=2))
+    start = section_degree + 1
+    tail = sum(abs(c) * math.sqrt(weights[start + p] / weights[start])
+               for p, c in enumerate(phi.coeffs.tolist()))
+    return math.sqrt(section**2 + tail**2)
+
+
+def test_multiplier_bounds_from_cached_ratios_keep_their_bits():
+    # the first call of a key builds its ratios and the second reads them
+    # from the cache; both give the bits of a build afresh
+    rng = np.random.default_rng(28)
+    for _ in range(60):
+        d = int(rng.integers(0, 9))
+        order = int(rng.integers(0, 5))
+        section = d + order + int(rng.integers(0, 40))
+        phi = AnalyticFunction(rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1))
+        for full_norm, bound in ((True, multiplier_norm_upper),
+                                 (False, multiplier_seminorm_upper)):
+            fresh = _uncached_multiplier_upper(phi, order, section, full_norm)
+            assert bound(phi, order, section).hex() == fresh.hex()
+            assert bound(phi, order, section).hex() == fresh.hex()
+
+
+def test_multiplier_ratios_are_cached_and_read_only():
+    ratios, tail = _multiplier_ratios(2, 20, 3, True)
+    assert _multiplier_ratios(2, 20, 3, True)[0] is ratios
+    assert ratios.shape == (4, 21) and not ratios.flags.writeable
+    with pytest.raises(ValueError):
+        ratios[0, 0] = 2.0
+    assert isinstance(tail, tuple) and len(tail) == 4
 
 
 def test_multiplier_inequality_counterexample():

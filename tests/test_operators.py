@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -17,7 +18,7 @@ from dirikit import (
     gram_section,
     tuple_norm_sq,
 )
-from dirikit.operators import _atom_pair_matrix, _defect_kernel_checks
+from dirikit.operators import _defect_kernel_checks
 
 
 def mono(k):
@@ -271,13 +272,16 @@ def test_gram_quadratic_form_is_tuple_norm():
     # arithmetic both are one sum.  On the section of the tuple with every
     # atom moved to z = 1 (its masses merged) each term of that sum is
     # non-negative, so S = |c|^T A |c| on that section's block bounds the
-    # sum of the terms' magnitudes on either path.  Each path chains at
-    # most 4 recurrences of D + 1 = deg f + k + 1 steps (the form: the
-    # powers of lam, the pair sum over the quotient basis, the row sums and
-    # the dot; the exact route: Horner, the division, the binomial sum and
-    # the squares) and one addition per part, Hardy part included; a
-    # complex step rounds by at most 2u.  So each path is within
-    # 2u (4 (D + 1) + parts) S of the sum, and the two within twice that.
+    # sum of the terms' magnitudes on either path: a term is mass times
+    # binom(min(j, k), n) lam^(j-k) c_j conj(c_k).  The form chains 3
+    # recurrences of at most D + 1 = deg f + k + 1 steps (the running
+    # powers of each point, the row sums and the dot), one product by
+    # binom(min(j, k), n) and one addition per part (the moment sums and
+    # the sum over the entries, Hardy identity included).  The exact route
+    # chains 4 (Horner, the division, the binomial sum and the squares) and
+    # one addition per part.  A complex step rounds by at most 2u.  So each
+    # path is within 2u (4 (D + 1) + parts) S of the sum, and the two
+    # within twice that.
     for case in range(39):
         entries = [_random_entry(rng) for _ in range(int(rng.integers(1, 4)))]
         mt = MeasureTuple(tuple(entries))
@@ -301,17 +305,93 @@ def test_gram_quadratic_form_is_tuple_norm():
             assert abs(beta[k] - tuple_norm_sq(shifted, mt)) <= bound
 
 
-def test_atom_pair_matrix_matches_the_row_by_row_basis():
-    for degree in (1, 2, 7, 24, 40):
+def test_an_overflowing_moment_leaves_the_vanishing_binomials_alone():
+    # the masses add up beyond the float range, so h_0 is infinite; the
+    # entries with min(j, k) < n have binom(min(j, k), n) = 0 and keep
+    # the values of the Hardy identity rather than inf * 0 = NaN
+    huge = CircleMeasure((Atom(0.0, 1e308), Atom(1.0, 1e308)))
+    mt = MeasureTuple((CircleMeasure.zero(), CircleMeasure.zero(), huge))
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = gram_section(mt, 5).matrix
+    assert np.array_equal(matrix[:3], np.eye(6)[:3])
+    assert np.array_equal(matrix[:, :3], np.eye(6)[:, :3])
+    assert not np.isfinite(matrix[3, 3])
+    assert defect_sequence(AnalyticFunction((1.0,)), mt, 2).beta == [1.0, 1.0, 1.0]
+
+
+def _quotient_basis_section(lam, order, degree):
+    """Order-``order`` section of a unit atom at ``lam``, summed pair by
+    pair over the quotient basis g_k = sum_{t<k} lam^(k-1-t) z^t: entry
+    [j, k] is sum_t g_j[t] binom(t, order - 1) conj(g_k[t]), the local
+    Douglas formula one order down against arc length.  The powers of
+    lam come from a running product."""
+    powers = [1 + 0j]
+    for _ in range(degree - 1):
+        powers.append(powers[-1] * lam)
+    basis = np.zeros((degree + 1, degree), dtype=complex)
+    for k in range(1, degree + 1):
+        basis[k, :k] = powers[k - 1::-1]
+    weights = np.array([float(math.comb(t, order - 1)) for t in range(degree)])
+    return (basis * weights) @ basis.conj().T
+
+
+def _one_atom_section(angle, order, degree):
+    """Unit atom at ``angle`` as tuple entry ``order``, the entries before
+    it zero, and its Gram section without the Hardy identity, which adds
+    exact integers to exact integers on the diagonal."""
+    zeros = (CircleMeasure.zero(),) * (order - 1)
+    measures = MeasureTuple(zeros + (CircleMeasure.point_mass(angle),))
+    return gram_section(measures, degree).matrix - np.eye(degree + 1)
+
+
+def test_one_atom_section_matches_the_quotient_basis():
+    # u = 2^-53, D the degree, B[j, k] = binom(min(j, k), n).  Both paths
+    # form lam^d, d < D, by at most D complex products, each within
+    # sqrt(5) u < 2.25u: 2.25 D u.  The section rounds each entry once
+    # more, B times lam^(j-k): (2.25 D + 1) u B.  The pair sum carries
+    # two powers per term (4.5 D u), the weight product (u) and the
+    # complex product (2.25u), and its at most D complex additions add
+    # sqrt(2) D u of the sum of the terms' moduli, which is B |lam|^(...).
+    # In exact arithmetic the two differ only through |lam|^2 = 1 + e:
+    # the pair sum is lam^(j-k) sum_t binom(t, n-1) |lam|^(2(k-1-t)),
+    # within D |e| of B lam^(j-k), and |e| <= 4u when cos and sin are
+    # within 1 ulp.  In all, (12.2 D + 4.3) u B, so 16 (D + 1) u B holds.
+    rng = np.random.default_rng(28)
+    for degree in (1, 2, 7, 24, 40, 128):
         for order in (1, 2, 4):
-            angle = 0.37 * degree - 1.1 * order
-            lam = complex(np.exp(1j * angle))
-            basis = np.zeros((degree + 1, degree), dtype=complex)
-            for k in range(1, degree + 1):
-                basis[k, :k] = lam ** np.arange(k - 1, -1, -1)
-            weights = np.array(
-                [math.comb(t, order - 1) if t >= order - 1 else 0 for t in range(degree)],
-                dtype=float,
-            )
-            expected = (basis * weights) @ basis.conj().T
-            assert np.array_equal(_atom_pair_matrix(lam, order, degree), expected)
+            angle = float(rng.uniform(0.0, 2.0 * math.pi))
+            section = _one_atom_section(angle, order, degree)
+            (atom,) = CircleMeasure.point_mass(angle).atoms
+            pairs = _quotient_basis_section(atom.point, order, degree)
+            row = np.array([float(math.comb(t, order)) for t in range(degree + 1)])
+            bound = 16 * (degree + 1) * 2.0**-53 * np.minimum.outer(row, row)
+            assert (np.abs(section - pairs) <= bound).all()
+            # the section is Hermitian bit for bit
+            assert np.array_equal(section, section.conj().T)
+
+
+def test_one_atom_section_matches_the_closed_form_at_200_bits():
+    # The closed form is e^(i (j-k) a) binom(min(j, k), n) at the atom's
+    # stored angle a, evaluated with 200 bits.  Its point lam = e^(ia)
+    # is within 2u of the exact point when cos and sin are within 1 ulp,
+    # so lam^d by d - 1 running products is within d 2u + (d - 1) 2.25u
+    # of e^(ida), and the entry rounds once more: (4.25 D + 1) u B,
+    # within 5 (D + 1) u B.  Entry [k + d, k] is B times the phase of
+    # diagonal d, so each diagonal is checked at its first, middle and
+    # last column; the section is Hermitian bit for bit (tested above).
+    rng = np.random.default_rng(29)
+    with mpmath.workprec(200):
+        for degree in (8, 64, 128):
+            angle = float(rng.uniform(0.0, 2.0 * math.pi))
+            (atom,) = CircleMeasure.point_mass(angle).atoms
+            phases = [mpmath.expj(d * mpmath.mpf(atom.angle)) for d in range(degree + 1)]
+            for order in (1, 2, 3, 4):
+                section = _one_atom_section(angle, order, degree)
+                unit = 5 * (degree + 1) * 2.0**-53
+                for d in range(degree - order + 1):
+                    last = degree - d
+                    for k in {order, (order + last) // 2, last}:
+                        b = math.comb(k, order)
+                        exact = b * phases[d]
+                        assert abs(mpmath.mpc(section[k + d, k]) - exact) <= unit * b
+                assert not section[:order].any() and not section[:, :order].any()
