@@ -103,9 +103,11 @@ def _moments(measure: CircleMeasure, size: int) -> np.ndarray:
     """Moments h_d = sum of mass * point^d over the parts, d < ``size``.
 
     Row p of one table is part p's mass times the powers of its
-    :attr:`Atom.point`, by one running product along the row, so the
-    rounding error of point^d grows with d alone; arc length is the
-    point 0, whose powers are e_0.  The rows are added in part order.
+    :attr:`Atom.point`, by one running product along the row.  An entry
+    [j, k] reads one power, d = |j - k|, so its rounding error grows with
+    |j - k| and not with j + k, as a product of two powers lam^j
+    conj(lam)^k would.  Arc length is the point 0, whose powers are e_0.
+    The rows are added in part order.
     """
     heads = np.array([(part.mass, 0.0 if isinstance(part, Arc) else part.point)
                       for part in measure.parts], dtype=complex).reshape(-1, 2)
