@@ -6,8 +6,12 @@ the measure's Poisson integral times (1 - |z|^2)^(n-1), normalized by
 
 * series / decomposition: against arc length the integral is the
   coefficient sum of binom(k, n) |a_k|^2; against an atom it equals the
-  order-(n-1) arc-length integral of the quotient (f - f*(lam))/(z - lam),
-  so exact polynomials reduce to pure coefficient combinatorics;
+  order-(n-1) arc-length integral of the quotient (f - f*(lam))/(z - lam).
+  For an exact polynomial and |lam| = 1 the quotient's coefficients are
+  g_k = -lam^-(k+1) R_(k+1), with R_k = sum_{i >= k} a_i lam^i the tails
+  of f's series at lam, so the local integral is the tail sum
+  sum_k binom(k, n-1) |R_(k+1)|^2 and f(lam) = R_0: pure coefficient
+  combinatorics;
 * quadrature: sample f^(n) on a disc grid and integrate against the
   weight numerically.
 
@@ -28,9 +32,7 @@ from . import quadrature
 from .functions import (
     AnalyticFunction,
     _coefficient_block,
-    _divide_by_roots,
     _unimodular,
-    _values_on_circle,
     boundary_value,
     derivative,
     divide_by_root,
@@ -84,8 +86,9 @@ class DouglasCertificate:
     """Decomposition f = alpha + (z - lam) g with both integral routes.
 
     ``lhs`` is the quadrature value of the local integral of f, ``rhs``
-    the coefficient-series value for the quotient g one order down; the
-    residual is their gap, and ``spec`` is the grid of the quadrature.
+    the coefficient-series value for the quotient g one order down
+    (:func:`douglas_decompose` says how it is summed); the residual is
+    their gap, and ``spec`` is the grid of the quadrature.
     """
 
     alpha: complex
@@ -135,7 +138,7 @@ def _binomial_row(order: int, length: int) -> np.ndarray:
 def _sigma_sums(coeffs: np.ndarray, order: int) -> list[float]:
     """Coefficient series sum_k binom(k, order) |c_k|^2, one per column.
 
-    Row k of ``coeffs`` holds c_k, a number or one per column.  The
+    Row k of the block ``coeffs`` holds c_k of each column.  The
     floats are those of a Python loop over ``abs(c) ** 2``: ``hypot``,
     then one ``pow`` (numpy's ``abs`` and ``square`` round differently),
     and the terms are added in index order (``add.accumulate``; ``sum``
@@ -144,10 +147,8 @@ def _sigma_sums(coeffs: np.ndarray, order: int) -> list[float]:
     """
     tail = coeffs[order:]
     if len(tail) == 0:
-        return [0.0] * np.size(coeffs[0])
-    weights = _binomial_row(order, len(coeffs))[order:]
-    if tail.ndim > 1:
-        weights = weights[:, None]
+        return [0.0] * coeffs.shape[1]
+    weights = _binomial_row(order, len(coeffs))[order:, None]
     squares = np.float_power(np.hypot(tail.real, tail.imag), 2.0)
     sums = np.add.accumulate(weights * squares)[-1:].ravel().tolist()
     # the weights are at least 1, so an infinite square makes its sum inf
@@ -177,20 +178,20 @@ def _series_sums(functions, order: int) -> list[float]:
     """The order-``order`` coefficient series of each function, from one
     :func:`_sigma_sums` per block of :func:`_blocks`."""
     with np.errstate(over="ignore"):
-        return [s for _, coeffs, _ in _blocks(functions)
+        return [s for _, coeffs in _blocks(functions)
                 for s in _sigma_sums(coeffs, order)]
 
 
 def _blocks(functions):
-    """(run, *:func:`_coefficient_block`) of each ``_runs`` of functions."""
+    """(run, :func:`_coefficient_block`) of each ``_runs`` of functions."""
     lengths = [len(f.coeffs) for f in functions]
     rows = max(lengths, default=1)
     # one run holds every column: no split, no slices
     if functions and len(functions) * rows <= quadrature._CELL_BUDGET:
-        yield slice(0, len(functions)), *_coefficient_block(functions, lengths)
+        yield slice(0, len(functions)), _coefficient_block(functions, lengths)
         return
     for run in _runs(len(functions), rows):
-        yield run, *_coefficient_block(functions[run], lengths[run])
+        yield run, _coefficient_block(functions[run], lengths[run])
 
 
 def dirichlet_sigma_inner(
@@ -217,8 +218,9 @@ def dirichlet_weighted(
     :attr:`CircleMeasure.parts` at unit mass and weighs them with
     :meth:`CircleMeasure.weigh`.  Exact polynomials take the
     decomposition route, the one-triple case of :func:`_exact_values`:
-    one division and one coefficient series for all atoms of the
-    measure, and the coefficient series for the arc-length part.
+    one tail sum for all atoms of the measure
+    (:func:`_local_integrals`), and the coefficient series for the
+    arc-length part.
     Truncations integrate their atoms numerically, and
     ``force_quadrature`` integrates every part numerically; the
     numerical parts are the one-triple case of
@@ -277,7 +279,7 @@ def _quadrature_values(triples, spec: QuadratureSpec | None = None) -> list[
         measures = [triples[t][1] for t in members]
 
         def sample(z, run):
-            coeffs, _ = _coefficient_block(derivatives[run], lengths[run])
+            coeffs = _coefficient_block(derivatives[run], lengths[run])
             # a non-finite sample raises by name once the samples are checked
             with np.errstate(over="ignore", invalid="ignore"):
                 return _ring_samples(coeffs, *z.shape).reshape(-1, *z.shape)
@@ -330,29 +332,47 @@ def _local_integrals(functions, points, order: int) -> list[float]:
     The local Douglas formula for every (f, lam) column at once, f from
     ``functions`` and lam from ``points``: column j is the quotient
     (f_j - f_j(lam_j)) / (z - lam_j), integrated one order down; at order
-    0 it is |f_j(lam_j)|^2.  Degrees may differ and points repeat.  Each
-    of :func:`_blocks` is one Horner pass, division and contraction, with
-    the floats of one call per column.  The first failing block raises:
-    ``OverflowError`` naming its first point whose value (or square)
-    exceeds the float range, else its largest residue's
-    :class:`InexactDivisionError`.
+    0 it is |f_j(lam_j)|^2.  Degrees may differ and points repeat.  The
+    quotient's coefficients are g_k = -sum_{i>k} a_i lam^(i-k-1) =
+    -lam^-(k+1) R_(k+1), with R_k = sum_{i>=k} a_i lam^i the tails of f's
+    series at lam, so on the unit circle |g_k| = |R_(k+1)| and the
+    order-n integral is sum_k binom(k, n-1) |R_(k+1)|^2, with f(lam) =
+    R_0.  Each of :func:`_blocks` is one running-power table lam^k, one
+    product with the coefficients, one reversed cumulative sum and one
+    :func:`_sigma_sums` over ``tails[1:]``.  The zero padding adds exact
+    zeros, so each column gets the floats of its own call.  The first
+    failing block raises ``OverflowError`` naming its first point whose
+    value (or square) exceeds the float range.
     """
-    points = np.array(points)
+    points = np.array(points, dtype=complex)
     integrals = []
-    for run, coeffs, degrees in _blocks(functions):
-        # a lone column steps on numpy scalars (see _coefficient_block)
-        roots = points[run.start] if coeffs.ndim == 1 else points[run]
+    for run, coeffs in _blocks(functions):
+        roots = points[run]
+        # row k is lam^k, one running product per column, as in _moments
+        tails = np.empty_like(coeffs)
+        tails[:1] = 1.0
+        tails[1:] = roots
         # one errstate for the route, whose overflows raise by name
         with np.errstate(over="ignore", invalid="ignore"):
-            values = _values_on_circle(coeffs, roots)
+            np.multiply.accumulate(tails, axis=0, out=tails)
+            tails *= coeffs
+            # row k becomes R_k, summed from the top row down
+            np.add.accumulate(tails[::-1], axis=0, out=tails[::-1])
+            # a non-finite term or tail carries through every addition
+            # below it, so a finite R_0 makes every R_k finite
+            finite = np.isfinite(tails[0])
+            if not finite.all():
+                lam = roots[~finite][0]
+                raise OverflowError(
+                    f"the value of f at lam={lam:.6f} exceeds the float range"
+                )
             if order > 0:
-                quotients, _ = _divide_by_roots(coeffs, degrees, roots, values, True)
-                integrals += _sigma_sums(quotients, order - 1)
+                integrals += _sigma_sums(tails[1:], order - 1)
                 continue
             # hypot, then one pow, as abs(v) ** 2 and _sigma_sums square
-            squares = np.ravel(np.float_power(np.hypot(values.real, values.imag), 2.0))
+            squares = np.float_power(np.hypot(tails[0].real, tails[0].imag), 2.0)
         if not np.isfinite(squares).all():
-            lam = np.ravel(roots)[~np.isfinite(squares)][0]
+            lam = roots[~np.isfinite(squares)][0]
             raise OverflowError(f"|f(lam)|^2 at lam={lam:.6f} exceeds the float range")
         integrals += squares.tolist()
     return integrals
@@ -390,7 +410,10 @@ def douglas_decompose(
     g the synthetic quotient.  The certificate carries the quadrature value
     of the local integral of f against that atom (lhs, from
     :func:`dirichlet_weighted` with ``force_quadrature``) next to the
-    coefficient series of g one order down (rhs).
+    coefficient series of g one order down (rhs).  For an exact f the rhs
+    is the exact-route value of :func:`_exact_values`, which ``eval``
+    reports, summed from f's tails at lam; for a truncation it is the
+    series of the synthetic quotient.
     """
     if order < 1:
         raise ValueError("order must be a positive integer")
@@ -400,7 +423,10 @@ def douglas_decompose(
     alpha = boundary_value(f, lam)
     quotient = divide_by_root(f, lam, alpha)
     lhs = dirichlet_weighted(f, measure, order, spec, force_quadrature=True)
-    rhs = dirichlet_sigma(quotient, order - 1).value
+    if f.exact:
+        ((rhs, _),) = _exact_values([(f, measure, order)])
+    else:
+        rhs = dirichlet_sigma(quotient, order - 1).value
     return DouglasCertificate(
         alpha=alpha,
         quotient=quotient,

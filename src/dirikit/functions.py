@@ -128,10 +128,8 @@ def evaluate(f: AnalyticFunction, z):
 
 
 def _horner(rows, zs):
-    """The sum of ``rows[k] * zs**k`` by Horner's rule.
-
-    Row k is a number, or an array with one entry per point.
-    """
+    """The sum of ``rows[k] * zs**k`` by Horner's rule, for a list of
+    numbers ``rows``."""
     acc = np.zeros_like(zs)
     for c in reversed(rows):
         acc = acc * zs + c
@@ -139,43 +137,19 @@ def _horner(rows, zs):
 
 
 def _coefficient_block(functions, lengths):
-    """The coefficients of many functions side by side, with their degrees.
+    """The coefficients of many functions side by side.
 
     Column j holds the ``lengths[j]`` coefficients of ``functions[j]``,
-    zero-padded up to the highest degree, and ``degrees[j]`` its own
-    degree; the caller takes the lengths once.  A lone function gives its
-    own coefficient vector and degree instead: :func:`_values_on_circle`
-    and :func:`_divide_by_roots` step with its coefficients as Python
-    numbers, and at a lone point with numpy scalars, about ten times
-    faster than on a one-column block.
+    zero-padded up to the highest degree; the caller takes the lengths
+    once.  A lone function gives a one-column view of its own
+    coefficients, with no copy.
     """
     if len(functions) == 1:
-        return functions[0].coeffs, lengths[0] - 1
+        return functions[0].coeffs[:, None]
     block = np.zeros((max(lengths), len(functions)), dtype=complex)
     for j, f in enumerate(functions):
         block[: lengths[j], j] = f.coeffs
-    return block, np.array(lengths) - 1
-
-
-def _values_on_circle(coeffs, lams):
-    """Values of polynomials at unimodular points.
-
-    ``coeffs`` is one coefficient vector, evaluated at ``lams``, one
-    point or an array of them, or ``coeffs`` is a block
-    (:func:`_coefficient_block`) and column j is evaluated at ``lams[j]``.  It runs under the caller's
-    ``np.errstate(over="ignore", invalid="ignore")``; a value beyond the
-    float range raises ``OverflowError`` naming its point.
-    """
-    values = _horner(coeffs.tolist() if coeffs.ndim == 1 else coeffs,
-                     np.asarray(lams, dtype=complex))
-    if values.ndim == 0:
-        # cmath checks the scalar of a lone point faster than np.isfinite
-        values = complex(values)
-    if not (cmath.isfinite(values) if isinstance(values, complex)
-            else np.isfinite(values).all()):
-        lam = np.ravel(lams)[~np.isfinite(np.ravel(values))][0]
-        raise OverflowError(f"the value of f at lam={lam:.6f} exceeds the float range")
-    return values
+    return block
 
 
 def derivative(f: AnalyticFunction, order: int = 1) -> AnalyticFunction:
@@ -257,60 +231,22 @@ def divide_by_root(
     :class:`InexactDivisionError`; truncations keep the division.
     """
     lam = _unimodular(lam, "division")
-    out, _ = _divide_by_roots(f.coeffs, f.degree, np.complex128(lam), alpha, f.exact)
-    return AnalyticFunction(out, f.exact)
-
-
-def _divide_by_roots(coeffs, degrees, lams, alphas, exact: bool):
-    """Synthetic division of f - alpha by z - lam, for one f or many.
-
-    ``coeffs`` is the coefficient vector of one f, with a numpy complex
-    scalar root ``lams``, or a block (:func:`_coefficient_block`) with
-    one unimodular root per column;
-    ``degrees`` holds the degree of f, or of each column, and ``alphas``
-    the matching values.  Row k of the returned quotient holds g_k, one
-    per root; rows past a column's own degree are zero, and a constant f
-    has the single row g_0 = 0.  The residues |g_(d-1) - a_d| of :func:`divide_by_root`,
-    read at each column's own degree d, come back alongside.
-
-    Every column runs the float operations of a one-root division,
-    numpy's complex division from the constant term upward, so columns
-    match one-root calls bit for bit.  A non-finite quotient raises
-    ``ValueError``, as building it would.  When ``exact``, a column
-    whose residue exceeds ``1e-9 * max(1, max |a_k|)``, over its own
-    coefficients, raises :class:`InexactDivisionError` naming its root;
-    of several, the one with the largest residue.
-    """
+    coeffs = f.coeffs
     # numpy arithmetic throughout, even for a Python complex alpha
-    prev = np.asarray(alphas, dtype=complex)[()]
-    rows = [prev]
-    for c in coeffs[:-1].tolist() if coeffs.ndim == 1 else coeffs[:-1]:
-        prev = (prev - c) / lams
+    prev, root = np.complex128(alpha), np.complex128(lam)
+    rows = []
+    for c in coeffs[:-1].tolist():
+        prev = (prev - c) / root
         rows.append(prev)
-    # row k is g_(k-1), with g_(-1) = alpha: a constant leaves |alpha - a_0|
-    g = np.array(rows)
-    out = g[1:] if len(g) > 1 else np.zeros((1, *np.shape(lams)), dtype=complex)
-    if coeffs.ndim == 1:
-        gap = prev - coeffs[-1]
-    else:
-        columns = np.arange(len(degrees))
-        gap = g[degrees, columns] - coeffs[degrees, columns]
-        # the rows past a column's own degree divide its zero padding
-        out[np.arange(len(out))[:, None] >= degrees] = 0
-    residues = np.hypot(gap.real, gap.imag)
-    if not np.isfinite(out).all():
-        raise ValueError("coefficients must be finite")
+    # the gap left in the top equation g_(d-1) = a_d, or alpha = a_0
+    residue = abs(prev - coeffs[-1])
     # the tolerance is at least 1e-9, so most divisions skip building it
-    if exact and np.any(residues > 1e-9):
-        scales = np.maximum(1.0, np.max(np.abs(coeffs), axis=0))
-        excess = np.ravel(np.where(residues > 1e-9 * scales, residues, 0.0))
-        if excess.any():
-            worst = int(np.argmax(excess))
-            raise InexactDivisionError(
-                f"inexact division: remainder {excess[worst]:.3e} "
-                f"at lam={complex(np.ravel(lams)[worst])}"
-            )
-    return out, residues
+    if f.exact and residue > 1e-9 and residue > 1e-9 * max(1.0, np.abs(coeffs).max()):
+        raise InexactDivisionError(
+            f"inexact division: remainder {residue:.3e} at lam={lam}"
+        )
+    # a constant f has the single coefficient g_0 = 0
+    return AnalyticFunction(rows or (0.0,), f.exact)
 
 
 def _unimodular(lam: complex, role: str) -> complex:
@@ -336,7 +272,12 @@ def boundary_value(f: AnalyticFunction, lam: complex) -> complex:
     lam = _unimodular(lam, "boundary")
     with np.errstate(over="ignore", invalid="ignore"):
         if f.exact:
-            return _values_on_circle(f.coeffs, lam)
+            value = complex(_horner(f.coeffs.tolist(), np.asarray(lam)))
+            if not cmath.isfinite(value):
+                raise OverflowError(
+                    f"the value of f at lam={lam:.6f} exceeds the float range"
+                )
+            return value
         samples = np.array(
             [evaluate(f, (1.0 - 2.0**-k) * lam) for k in _BOUNDARY_RADII_EXPONENTS]
         )

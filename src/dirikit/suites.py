@@ -296,11 +296,11 @@ def run_monomial(rec: _Recorder, draws, orders) -> None:
     """Local integral of z^k at any atom equals binom(k, n).
 
     The oracle is the binomial coefficient itself (hockey-stick closed
-    form); the computed side goes through boundary division plus the
-    order-(n-1) coefficient series, and must also coincide with the plain
-    arc-length series for z^k.  Each batch of trials (``_batches``) makes
-    one batch of local integrals per order, with every (monomial, trial
-    point) column of the batch.
+    form); the computed side is the decomposition route's tail sum, the
+    quotient's order-(n-1) coefficient series, and must also coincide
+    with the plain arc-length series for z^k.  Each batch of trials
+    (``_batches``) makes one batch of local integrals per order, with
+    every (monomial, trial point) column of the batch.
     """
     degrees = range(_MONOMIAL_DEGREE + 1)
     monomials = [AnalyticFunction.monomial(k) for k in degrees]
@@ -331,9 +331,9 @@ def run_douglas(rec: _Recorder, draws, orders, spec) -> None:
     the atom and only the angular convolution keeps it integrable.  Each
     trial builds one unit atom, and both routes get the same (f, atom,
     order) triples: the quadrature side integrates f against the atom,
-    the series side divides f at the atom's point.  Each batch of trials
-    (``_batches``) makes one call per route; each route bounds its own
-    arrays.
+    the series side sums the tails of f's series at the atom's point.
+    Each batch of trials (``_batches``) makes one call per route; each
+    route bounds its own arrays.
     """
     for batch in _batches(draws):
         trials, triples = [], []

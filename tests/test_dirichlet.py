@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -46,7 +47,7 @@ from dirikit.dirichlet import (
     _negative_binomial_sum,
     _quadrature_values,
 )
-from dirikit.functions import InexactDivisionError, divide_by_root, times_linear
+from dirikit.functions import divide_by_root, times_linear
 from dirikit.quadrature import _ring_samples
 
 
@@ -205,7 +206,7 @@ def test_order_zero_triples_are_the_hardy_norm_plus_the_squared_values():
         triples.append((f, CircleMeasure(atoms, [0.0, 0.7][case % 2]), 0))
     for (f, measure, _), (value, parts) in zip(triples, _exact_values(triples),
                                                strict=True):
-        squares = [abs(boundary_value(f, a.point)) ** 2 for a in measure.atoms]
+        squares = [abs(_per_atom_tails(f, a.point)[0]) ** 2 for a in measure.atoms]
         expected = 0.0
         if measure.lebesgue > 0:
             hardy = dirichlet_sigma(f, 0).value
@@ -215,7 +216,7 @@ def test_order_zero_triples_are_the_hardy_norm_plus_the_squared_values():
             alone = dirichlet_atomic_order_zero(f, measure).value
             assert value.hex() == alone.hex()
         for atom in measure.atoms:
-            expected += atom.mass * abs(boundary_value(f, atom.point)) ** 2
+            expected += atom.mass * abs(_per_atom_tails(f, atom.point)[0]) ** 2
         assert value.hex() == expected.hex()
         assert [p.hex() for p in parts] == [p.hex() for p in squares]
 
@@ -999,10 +1000,24 @@ def test_exact_route_builds_no_quadrature_spec(monkeypatch):
     assert dirichlet_weighted(truncated, CircleMeasure.arc_length(), 2).spec is None
 
 
+def _per_atom_tails(f, lam):
+    """The tails R_k = sum_{i>=k} a_i lam^i of f at one point: the powers
+    and the sums by Python loops, the terms by one numpy product, powers
+    first (numpy's array product rounds unlike Python's and its own
+    scalar one, and not symmetrically in its operands)."""
+    powers = [1.0 + 0.0j]
+    for _ in range(f.degree):
+        powers.append(powers[-1] * lam)
+    terms = (np.array(powers) * f.coeffs).tolist()
+    tails = [terms[-1]]
+    for term in reversed(terms[:-1]):
+        tails.append(tails[-1] + term)
+    return tails[::-1]
+
+
 def _per_atom_decomposition(f, measure, order):
-    """The decomposition route one atom at a time: Horner on a 0-d point,
-    the division recurrence on numpy scalars, then a Python loop over
-    ``abs(c) ** 2``."""
+    """The decomposition route one atom at a time: the tails of f at the
+    atom, then a Python loop over ``abs(c) ** 2`` of R_1, R_2, ..."""
 
     def series(coeffs, n):
         total = 0.0
@@ -1013,16 +1028,7 @@ def _per_atom_decomposition(f, measure, order):
 
     total = measure.lebesgue * series(f.coeffs.tolist(), order)
     for atom in measure.atoms:
-        lam = np.complex128(atom.point)
-        # numpy's scalar complex product rounds unlike its array product
-        alpha, point = np.zeros((), dtype=complex), np.asarray(lam)
-        for c in reversed(f.coeffs.tolist()):
-            alpha = alpha * point + c
-        quotient, prev = [], alpha
-        for c in f.coeffs.tolist()[:-1]:
-            prev = (prev - c) / lam
-            quotient.append(complex(prev))
-        total += atom.mass * series(quotient, order - 1)
+        total += atom.mass * series(_per_atom_tails(f, atom.point)[1:], order - 1)
     return total
 
 
@@ -1046,7 +1052,7 @@ def test_batched_decomposition_matches_a_per_atom_reference_bit_for_bit():
             assert result.value.hex() == expected.hex(), (degree, len(atoms), order)
 
 
-def test_parts_are_the_one_part_integrals_and_weigh_to_the_value(monkeypatch):
+def test_parts_are_the_one_part_integrals_and_weigh_to_the_value():
     # every route: exact polynomials, truncations, forced quadrature
     rng = np.random.default_rng(11)
     exact_cases = []
@@ -1124,19 +1130,6 @@ def test_parts_are_the_one_part_integrals_and_weigh_to_the_value(monkeypatch):
     fine = AnalyticFunction((1e4, 1e4, -1e4))
     small = AnalyticFunction((0.5, 1.0, 0.25j))
     points = [cmath.exp(0.5j), cmath.exp(1.5j), cmath.exp(2.5j)]
-    values_on_circle = dirichlet._values_on_circle
-
-    def off_by(shift):
-        def values(coeffs, lams):
-            return values_on_circle(coeffs, lams) + shift
-        return values
-
-    # 1e-6 is within 1e-9 * 1e4 for the large columns, not for the small one
-    monkeypatch.setattr(dirichlet, "_values_on_circle", off_by(1e-6))
-    with pytest.raises(InexactDivisionError, match=r"at lam=\(0\.0707"):
-        _local_integrals([fine, small, fine], points, 2)
-    _local_integrals([fine, fine], points[:2], 2)
-    monkeypatch.undo()
     huge = AnalyticFunction((1.7e308, 1.7e308))
     with pytest.raises(OverflowError, match=r"lam=0\.070737\+0\.997495j exceeds"):
         _local_integrals([fine, huge, small], points, 2)
@@ -1149,12 +1142,12 @@ def test_exact_route_blocks_stay_within_the_cell_budget(monkeypatch):
     block = dirichlet._coefficient_block
 
     def spying(functions, lengths):
-        coeffs, degrees = block(functions, lengths)
+        coeffs = block(functions, lengths)
         shapes.append(coeffs.shape)
-        return coeffs, degrees
+        return coeffs
 
     def blocks_within(budget):
-        within = all(len(shape) == 1 or math.prod(shape) <= budget for shape in shapes)
+        within = all(shape[1] == 1 or math.prod(shape) <= budget for shape in shapes)
         shapes.clear()
         return within
 
@@ -1195,9 +1188,34 @@ def test_exact_route_blocks_stay_within_the_cell_budget(monkeypatch):
     assert [v.hex() for v, _ in patched] == [v.hex() for v, _ in default]
 
 
+def _gamma(m):
+    """gamma_m = m u / (1 - m u), u = 2^-53: the bound on m roundings."""
+    u = 2.0**-53
+    return m * u / (1.0 - m * u)
+
+
 def test_quotient_full_norm_is_the_sum_of_local_integrals():
-    # sum_{k<n} D_k(g) of g = (f - f(lam)) / (z - lam) is
-    # D_{lam,1}(f) + ... + D_{lam,n}(f), bit for bit, alone or in a batch
+    # sum_{j<n} D_j(g) of g = (f - f(lam)) / (z - lam) is
+    # D_{lam,1}(f) + ... + D_{lam,n}(f): two exact formulations, the
+    # explicit quotient of divide_by_root against the tail sums of the
+    # exact route.  Both add binom(k, j) |c|^2 over the same
+    # W = sum_{j<n} binom(d, j + 1) pairs k < d, j < n, and every |g_k|
+    # and |R_(k+1)| is at most S = sum |a_i| (|lam|^d within gamma_(2d)
+    # of 1 aside).  With gamma_m as in _gamma:
+    # * tails: a term a_i lam^i takes at most d complex products (3u
+    #   each) and a tail at most d additions (u each), so |R^ - R| <=
+    #   gamma_(6d) S; a square then moves by at most gamma_(13d) S^2,
+    #   hypot and pow add 6u, the weights and the sum in order
+    #   gamma_(d + 1), and adding the n values gamma_n: gamma_(14d + 11).
+    # * quotient: alpha by Horner is off by at most gamma_(6d) S; each
+    #   division step, a subtraction (u) and Smith's division (six
+    #   roundings, at most 8u of the quotient when |lam| ~ 1), carries
+    #   that error on undiminished and adds 9u S, so |g^ - g| <=
+    #   gamma_(15d) S, and the series is off by gamma_(31d + n + 7).
+    # * the formulations part by the point's rounding alone: |g_k| =
+    #   |R_(k+1)| / |lam|^(k+1), and |lam|^2 is within 4u of 1, so they
+    #   differ by at most gamma_(4d + 2) W S^2.
+    # gamma_(60 (d + 1)) W S^2 covers the sum, with n <= 4.
     rng = np.random.default_rng(29)
     cases = []
     for _ in range(40):
@@ -1212,10 +1230,104 @@ def test_quotient_full_norm_is_the_sum_of_local_integrals():
         cases.append((f, measure, n, sum(dirichlet_sigma(g, k).value for k in range(n))))
     triples = [[(f, measure, k) for k in range(1, n + 1)] for f, measure, n, _ in cases]
     batch = iter(_exact_values([t for mine in triples for t in mine]))
-    for case, (mine, (*_, quotient)) in enumerate(zip(triples, cases)):
+    for case, (mine, (f, _, n, quotient)) in enumerate(zip(triples, cases)):
         mixed = [next(batch) for _ in mine]
-        for values in (_exact_values(mine), mixed):
-            assert sum(value for value, _ in values).hex() == quotient.hex(), case
+        alone = sum(value for value, _ in _exact_values(mine))
+        assert sum(value for value, _ in mixed).hex() == alone.hex(), case
+        pairs = sum(math.comb(f.degree, j + 1) for j in range(n))
+        bound = _gamma(60 * (f.degree + 1)) * pairs * float(np.abs(f.coeffs).sum()) ** 2
+        assert abs(alone - quotient) <= bound, case
+
+
+def _exact_squares(f, lam):
+    """|R_k|^2 and |g_(k-1)|^2 of f at the exact value of the float point
+    lam, as integer numerators over two common denominators.
+
+    With lam = L / D and a_i = alpha_i / A for Gaussian integers L and
+    alpha_i and powers of two D and A, R_k A D^d is the Gaussian integer
+    sum_{i>=k} alpha_i L^i D^(d-i), so |R_k|^2 has the denominator
+    (A D^d)^2.  |g_(k-1)|^2 = |R_k|^2 / |lam|^(2k), and with |lam|^2 =
+    M / D^2 it is |R_k|^2 D^(2k) M^(d-k) over (A D^d)^2 M^d.
+    """
+    ratios = [(z.real.as_integer_ratio(), z.imag.as_integer_ratio())
+              for z in [lam, *f.coeffs.tolist()]]
+    (xn, xd), (yn, yd) = ratios[0]
+    D = max(xd, yd)
+    A = max(den for c in ratios[1:] for _, den in c)
+    lr, li = xn * (D // xd), yn * (D // yd)
+    d, e = f.degree, D.bit_length() - 1
+    terms, pr, pi = [], 1, 0
+    for i, ((rn, rd), (jn, jd)) in enumerate(ratios[1:]):
+        ar, ai = rn * (A // rd), jn * (A // jd)
+        shift = e * (d - i)
+        terms.append(((ar * pr - ai * pi) << shift, (ar * pi + ai * pr) << shift))
+        pr, pi = pr * lr - pi * li, pr * li + pi * lr
+    tails, sr, si = [], 0, 0
+    for tr, ti in reversed(terms):
+        sr, si = sr + tr, si + ti
+        tails.append(sr * sr + si * si)
+    tails.reverse()
+    M = lr * lr + li * li
+    powers = [1]
+    for _ in range(d):
+        powers.append(powers[-1] * M)
+    quotients = [q * powers[d - k] << 2 * e * k for k, q in enumerate(tails)]
+    den = (A << e * d) ** 2
+    return (tails, den), (quotients, den * powers[d])
+
+
+def test_tail_sums_are_no_less_accurate_than_the_division_against_an_exact_oracle():
+    # Each form against the exact value of its own formula at the exact
+    # value of the float point, so the point's own rounding is left out:
+    # the tails sum binom(k, n-1) |R_(k+1)|^2, the division sums
+    # binom(k, n-1) |g_k|^2 with |g_k|^2 = |R_(k+1)|^2 / |lam|^(2(k+1)),
+    # and at order 0 both square f(lam) = R_0 (tails against Horner).
+    # Errors are relative to the same formula applied to |a_k|, where
+    # R_k becomes S_k = sum_{i>=k} |a_i|.  The tails' own bound is
+    # gamma_(14 (d + 1)) of that (see the quotient test above, one tail
+    # at a time); the division has no better one, its alpha cancels
+    # against a head sum, and the tails must be no worse.
+    rng = np.random.default_rng(2029)
+    worst = {}
+    for degree in (4, 8, 16, 32, 64, 120):
+        for case in range(6):
+            real, imag = rng.standard_normal((2, degree + 1))
+            coeffs = real + 1j * imag
+            angles = rng.uniform(0.0, 2.0 * math.pi, 3).tolist()
+            atoms = [Atom(angle, 1.0) for angle in angles]
+            f = AnalyticFunction(coeffs)
+            if case % 3 == 0:
+                # a root at the first atom: f(lam) cancels to about u S
+                f = times_linear(AnalyticFunction(coeffs[:-1]), atoms[0].point)
+            moduli = np.cumsum(np.abs(f.coeffs)[::-1])[::-1].tolist()
+            exact = [_exact_squares(f, atom.point) for atom in atoms]
+            for order in range(5):
+                tails = _local_integrals([f] * 3, [a.point for a in atoms], order)
+                for atom, tail, forms in zip(atoms, tails, exact):
+                    alpha = boundary_value(f, atom.point)
+                    if order == 0:
+                        division = abs(alpha) ** 2
+                        scale = moduli[0] ** 2
+                        (squares, den), _ = forms
+                        oracles = [(squares[0], den)] * 2
+                    else:
+                        g = divide_by_root(f, atom.point, alpha)
+                        division = dirichlet_sigma(g, order - 1).value
+                        weights = [math.comb(k, order - 1) for k in range(degree)]
+                        scale = sum(w * m**2 for w, m in zip(weights, moduli[1:]))
+                        oracles = [(sum(map(operator.mul, weights, squares[1:])), den)
+                                   for squares, den in forms]
+                    # |p / q - num / den| in integers, rounded once
+                    errors = [abs(p * den - num * q) / (q * den) / scale
+                              for (p, q), (num, den) in zip(
+                                  (tail.as_integer_ratio(), division.as_integer_ratio()),
+                                  oracles)]
+                    assert errors[0] <= _gamma(14 * (degree + 1)), (degree, order)
+                    cell = worst.setdefault((order, degree), [0.0, 0.0])
+                    cell[:] = map(max, cell, errors)
+    for order in range(1, 5):
+        tails, divisions = zip(*(cell for (n, _), cell in worst.items() if n == order))
+        assert max(tails) <= max(divisions), order
 
 
 def test_an_overflowing_square_names_its_coefficient_and_order():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dirikit.functions import _coefficient_block, _divide_by_roots, times_linear
+from dirikit.functions import times_linear
 
 from dirikit import (
     AnalyticFunction,
@@ -147,50 +147,17 @@ def test_divide_by_root_szego_truncation():
     g = divide_by_root(f, 1.0, 1.0 / (1.0 - w))
     for k in range(25):
         assert g.coeffs[k] == pytest.approx(w**k, abs=1e-10)
-    _, residue = _divide_by_roots(
-        f.coeffs, f.degree, np.complex128(1.0), 1.0 / (1.0 - w), f.exact
-    )
-    assert residue < 1e-8
+    # the residue is the gap left in the top equation g_29 = a_30
+    assert abs(g.coeffs[-1] - f.coeffs[-1]) < 1e-8
 
 
 def test_divide_by_root_flags_inexact():
-    with pytest.raises(InexactDivisionError):
+    message = r"remainder 5\.000e-01 at lam=\(1\+0j\)"
+    with pytest.raises(InexactDivisionError, match=message):
         divide_by_root(AnalyticFunction((0, 0, 1.0)), 1.0, 0.5)
-
-
-def test_divide_by_roots_columns_are_one_root_divisions():
-    # columns of mixed degree, a constant among them, at repeated roots
-    fs = [
-        AnalyticFunction((0.5, -1j, 2.0, 0.25 + 1j)),
-        AnalyticFunction((3.0,)),
-        AnalyticFunction((1.0, 0.0, 0.0)),
-        AnalyticFunction((-2.0, 1j)),
-        AnalyticFunction((0.5, -1j, 2.0, 0.25 + 1j)),
-    ]
-    lams = np.exp(1j * np.array([0.3, 2.0, -1.4, 0.3, 2.0]))
-    coeffs, degrees = _coefficient_block(fs, [len(f.coeffs) for f in fs])
-    alphas = np.array([evaluate(f, lam) for f, lam in zip(fs, lams)])
-    quotients, residues = _divide_by_roots(coeffs, degrees, lams, alphas, True)
-    assert quotients.shape == (3, 5)
-    for j, (f, lam) in enumerate(zip(fs, lams)):
-        g = divide_by_root(f, lam, alphas[j])
-        _, residue = _divide_by_roots(f.coeffs, f.degree, lam, alphas[j], True)
-        # past its own degree a column's quotient is zero
-        assert np.array_equal(quotients[:, j], np.pad(g.coeffs, (0, 3 - g.degree - 1)))
-        assert residues[j] == residue
-    # a block of constants has the zero quotient at every root
-    coeffs, degrees = _coefficient_block([AnalyticFunction((3.0,))] * 3, [1] * 3)
-    quotients, _ = _divide_by_roots(coeffs, degrees, lams[:3], np.full(3, 3.0), True)
-    assert quotients.tolist() == [[0j, 0j, 0j]]
-
-
-def test_divide_by_roots_names_the_root_it_cannot_divide_by():
-    coeffs, degrees = _coefficient_block([AnalyticFunction((0, 0, 1.0))] * 3, [3] * 3)
-    lams = np.array([1.0, -1.0, 1j])
-    with pytest.raises(InexactDivisionError, match=r"remainder 5\.000e-01 at lam=\(-1"):
-        _divide_by_roots(coeffs, degrees, lams, np.array([1.0, 0.5, -1.0]), True)
+    # a NaN alpha makes a NaN residue, which no tolerance flags
     with pytest.raises(ValueError, match="coefficients must be finite"):
-        _divide_by_roots(coeffs, degrees, lams, np.array([1.0, np.nan, -1.0]), True)
+        divide_by_root(AnalyticFunction((0, 0, 1.0)), 1.0, float("nan"))
 
 
 @given(polys, st.floats(0.0, 2 * math.pi))

@@ -264,7 +264,7 @@ def test_ring_samples_fold_within_the_derived_bound():
     # a block with degrees below, at and above the fold gives each column
     # the floats of its own call
     functions += [AnalyticFunction(rng.standard_normal(d + 1)) for d in (0, 7, 15, 16)]
-    block, _ = _coefficient_block(functions, [len(f.coeffs) for f in functions])
+    block = _coefficient_block(functions, [len(f.coeffs) for f in functions])
     for radial, angular in ((8, 16), (4, 8)):
         batch = _ring_samples(block, radial, angular)
         assert batch.shape == (len(functions), radial, angular)
